@@ -11,6 +11,7 @@ numerical range of the compression of B*A to the top singular subspace of A.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import logging
 import math
@@ -20,8 +21,7 @@ import numpy as np
 
 from ._sphere import multistart_minimize
 from .core import (ConvergenceError, Field, InputError, Matrix, SpectralData,
-                   Vector, inner, operator_norm, top_singular_subspace,
-                   _eigvals_hermitian)
+                   Vector, inner, operator_norm, top_singular_subspace)
 from .lineopt import global_inf_lambda, inner_inf
 
 log = logging.getLogger("bjorth")
@@ -153,10 +153,14 @@ def vector_bj_check(u: Vector, v: Vector, tol: float = 1e-8):
 def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     """Test whether zero lies in the numerical range {<Cy, y> : ||y|| = 1}.
 
-    Scans m(theta) = lambda_min(Re(e^{i theta} C)) over a 720-point grid with
-    golden-section refinement; a value above tol is a separating half-plane,
-    so zero is outside.  Over the real field the range is the real interval
-    [lambda_min, lambda_max] of the symmetric part, checked directly.
+    Over the real field the range is the real interval [lambda_min,
+    lambda_max] of the symmetric part, checked directly.  Over the complex
+    field a 1x1 compression has the single point W(C) = {c}: zero lies
+    inside iff |c| <= tol, and the half-plane at theta = -arg(c) has support
+    |c|.  Larger compressions scan m(theta) = lambda_min(Re(e^{i theta} C))
+    over a 720-point grid in one stacked eigenvalue call, then sharpen the
+    best angle by golden section; a value above tol is a separating
+    half-plane, so zero is outside.
 
     Returns (contains_zero, SeparationCertificate).
     """
@@ -167,7 +171,7 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     ca = c.data
     if c.field is Field.REAL:
         sym = 0.5 * (ca + ca.T)
-        w = _eigvals_hermitian(sym)
+        w = np.linalg.eigvalsh(sym)
         lo, hi = float(w[0]), float(w[-1])
         if lo > tol:
             return False, SeparationCertificate(0.0, lo, tol)
@@ -177,20 +181,24 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
             return True, SeparationCertificate(0.0, lo, tol)
         return True, SeparationCertificate(math.pi, -hi, tol)
 
+    if c.rows == 1:
+        z = complex(ca[0, 0])
+        support = abs(z)
+        theta = -cmath.phase(z) % (2.0 * math.pi)
+        return support <= tol, SeparationCertificate(theta, support, tol)
+
     h1 = 0.5 * (ca + ca.conj().T)
     h2 = (ca - ca.conj().T) / 2j
 
     def m(theta: float) -> float:
-        w = _eigvals_hermitian(math.cos(theta) * h1 - math.sin(theta) * h2)
+        w = np.linalg.eigvalsh(math.cos(theta) * h1 - math.sin(theta) * h2)
         return float(w[0])
 
     step = 2.0 * math.pi / NR_GRID
-    best_theta, best_m = 0.0, -math.inf
-    for j in range(NR_GRID):
-        theta = j * step
-        val = m(theta)
-        if val > best_m:
-            best_theta, best_m = theta, val
+    grid, stack = _scan_stack(ca)
+    mins = np.linalg.eigvalsh(stack)[:, 0]
+    j = int(np.argmax(mins))
+    best_theta, best_m = float(grid[j]), float(mins[j])
 
     # local golden-section sharpening of the best separating angle
     lo_t, hi_t = best_theta - step, best_theta + step
@@ -217,6 +225,13 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     best_theta = best_theta % (2.0 * math.pi)
     cert = SeparationCertificate(best_theta, best_m, tol)
     return best_m <= tol, cert
+
+
+def _scan_stack(ca: np.ndarray):
+    """The scan angles and Re(e^{i theta} C) at each of them, stacked."""
+    grid = np.arange(NR_GRID) * (2.0 * math.pi / NR_GRID)
+    rot = np.exp(1j * grid)[:, None, None] * ca
+    return grid, 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
 
 
 def _abs_form_fg(ca: np.ndarray):
@@ -250,8 +265,10 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
     1e-8 * ||a|| * ||b|| and are always re-checked from scratch on the
     assembled witness, which is the source of truth.
 
-    Raises WitnessSearchError when the numerical range says a witness should
-    exist but the minimization cannot reach the threshold.
+    When the sphere minimization stalls above the threshold, the witness is
+    built directly by the inverse field-of-values construction
+    (_zero_form_vector).  Raises WitnessSearchError when the numerical range
+    says a witness should exist but neither reaches the threshold.
     """
     _pair_checks(a, b, square=True)
     sd = top_singular_subspace(a, rank_tol)
@@ -278,7 +295,12 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
                                   max_iter=max_iter, stop_below=stop)
     basis = np.column_stack([vec.data for vec in sd.top_subspace])
     witness = Witness.from_vector(a, b, basis @ y)
-    if witness.ip_residual > eps or witness.norm_residual > eps:
+    if witness.epsilon > eps:
+        # the descent can stall, e.g. on a range that is a segment through 0;
+        # the inverse field-of-values construction does not
+        witness = Witness.from_vector(
+            a, b, basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
+    if witness.epsilon > eps:
         raise WitnessSearchError(
             f"witness search failed: best residual {witness.epsilon:.3e} above {eps:.3e}",
             best_residual=witness.epsilon)
@@ -287,10 +309,21 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
 
 def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
                     seed: int = 0, max_iter: int = 400):
-    """Search for a unit x with inf over lambda of ||(A + lambda B)x|| > ||A|| - eps.
+    """Search for a unit x with phi(x) = inf over lambda of ||(A + lambda B)x||
+    above ||A|| - eps.
 
-    Success certifies orthogonality up to eps; failure (the expected outcome
-    for a non-orthogonal pair) reports the best value reached.
+    Success certifies orthogonality up to eps.  A failure is first sought
+    from the minimax identity sup_x phi(x) = inf_lambda ||A + lambda B||:
+    phi(x) <= ||A + lambda B|| for every unit x and every lambda, and the
+    distance search returns a norm evaluated at an actual lambda, so when
+    that value lies below the threshold no eps-witness can exist and no
+    search is run.  Such a WitnessFailure reports as best_x the unit vector
+    of largest phi in the pencil's top singular band at that lambda, and
+    best_value = phi(best_x).  By the strong side of the identity (some band
+    vector x has <(A + lambda B)x, Bx> = 0, hence phi(x) = ||A + lambda B||)
+    this is the supremum of phi to the accuracy of the distance search.
+    Otherwise (orthogonal or nearly orthogonal pairs) a multistart sphere
+    search runs, and its failure reports the best value it reached.
     """
     _pair_checks(a, b, square=True)
     sigma_a = operator_norm(a)
@@ -298,6 +331,13 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
         raise InputError("epsilon_witness needs a nonzero first matrix")
     if not (0.0 < eps < sigma_a):
         raise InputError(f"eps must lie in (0, ||a||) = (0, {sigma_a:.6g}), got {eps}")
+    threshold = sigma_a - eps
+
+    dist = global_inf_lambda(a, b)
+    if dist.value <= threshold * (1.0 - 1e-12):   # slack covers the norm's rounding
+        value, best_x = _band_sup_inf(a, b, dist.lambda_star)
+        return WitnessFailure(best_value=value, threshold=threshold,
+                              best_x=Vector(a.field, best_x))
 
     # the objective is capped at ||a||^2, so a start within machine precision
     # of the cap ends the search; the threshold itself is NOT an early-out,
@@ -306,11 +346,105 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
     best_phi, best_x, _ = _max_inner_inf(a, b, restarts=restarts, seed=seed,
                                          max_iter=max_iter, stop_below=stop)
     value = math.sqrt(max(best_phi, 0.0))
-    threshold = sigma_a - eps
     if value > threshold:
         return Witness.from_vector(a, b, best_x)
     return WitnessFailure(best_value=value, threshold=threshold,
                           best_x=Vector(a.field, best_x))
+
+
+def _saddle_starts(a: Matrix, b: Matrix, lam) -> list:
+    """Top singular band of the pencil A + lam*B, as raw vectors.
+
+    At an exact scalar minimizer lambda*, some vector of this band maximizes
+    phi(x) = inf over mu of ||(A + mu B)x||; the band (rank_tol 1e-4) is
+    widened to absorb line-search error.  A zero pencil returns the full
+    standard basis, on which phi vanishes like everywhere else.
+    """
+    pencil = Matrix(a.field, a.data + lam * b.data)
+    sd = top_singular_subspace(pencil, rank_tol=1e-4)
+    return [vec.data for vec in sd.top_subspace]
+
+
+def _band_sup_inf(a: Matrix, b: Matrix, lam):
+    """Largest phi(x) = inf over mu of ||(A + mu B)x|| over the pencil's top
+    band at lam, with its vector: phi is evaluated on the band basis and,
+    when the band is wider than one vector, on the band vector that zeroes
+    <(A + lam B)x, Bx>, which is where phi reaches ||A + lam B|| at a kink."""
+    cands = _saddle_starts(a, b, lam)
+    if len(cands) >= 2:
+        basis = np.column_stack(cands)
+        comp = basis.conj().T @ (b.data.conj().T @ ((a.data + lam * b.data) @ basis))
+        cands.append(basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
+    fg = _neg_phi_fg(a.data, b.data)
+    return max(((math.sqrt(max(-fg(x)[0], 0.0)), x) for x in cands), key=lambda p: p[0])
+
+
+def _zero_form_vector(c: np.ndarray, complex_field: bool) -> np.ndarray:
+    """Unit y with <Cy, y> = 0 when zero lies in the numerical range of C.
+
+    Real field: the extreme eigenvectors of the symmetric part, mixed so
+    their values cancel.  Complex field: the range of a 2x2 matrix is an
+    affine image of the Bloch sphere, solved exactly by _bloch_zero.  For a
+    larger C, the minimal eigenvectors of Re(e^{i theta} C) over the scan
+    grid give boundary points of the range; a fan triangle of them holding
+    zero is collapsed in two exact 2x2 steps: first a vector on its edge
+    whose value is where the line from the third vertex through zero meets
+    that edge, then a zero on the span of that vector and the third one.
+    When zero is outside the range the result is only a nearby vector.
+    """
+    if not complex_field:
+        w, v = np.linalg.eigh(0.5 * (c + c.T))
+        if w[0] >= 0.0 or w[-1] <= 0.0:
+            return v[:, 0] if abs(w[0]) <= abs(w[-1]) else v[:, -1]
+        y = math.sqrt(w[-1]) * v[:, 0] + math.sqrt(-w[0]) * v[:, -1]
+        return y / np.linalg.norm(y)
+    if c.shape[0] == 2:
+        return _bloch_zero(c)
+
+    xs = np.linalg.eigh(_scan_stack(c)[1])[1][:, :, 0]
+    pts = np.einsum("ji,ik,jk->j", xs.conj(), c, xs)
+    # signed areas of (0, p0, pj), (0, pj, pj+1) and (0, pj+1, p0) over the fan j >= 1
+    d1 = (pts[0].conjugate() * pts[1:-1]).imag
+    d2 = (pts[1:-1].conjugate() * pts[2:]).imag
+    d3 = (pts[2:].conjugate() * pts[0]).imag
+    inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
+    area = np.where(inside, np.abs(d1 + d2 + d3), 0.0)
+    j = int(np.argmax(area))                    # the best-conditioned triangle
+    if area[j] <= 1e-12 * float(np.max(np.abs(pts))) ** 2:
+        return xs[int(np.argmin(np.abs(pts)))]
+    total = d1[j] + d2[j] + d3[j]
+    wa, wb = d2[j] / total, d3[j] / total       # barycentric weights of p0, pj
+    target = (wa * pts[0] + wb * pts[j + 1]) / (wa + wb)
+    q1 = np.linalg.qr(np.column_stack([xs[0], xs[j + 1]]))[0]
+    z = q1 @ _bloch_zero(q1.conj().T @ c @ q1 - target * np.eye(2))
+    q2 = np.linalg.qr(np.column_stack([z, xs[j + 2]]))[0]
+    return q2 @ _bloch_zero(q2.conj().T @ c @ q2)
+
+
+def _bloch_zero(m: np.ndarray) -> np.ndarray:
+    """Unit y in C^2 with <My, y> = 0, or the Bloch-sphere point nearest to it.
+
+    With y y* = (I + s . sigma) / 2 for a unit s in R^3 (sigma the Pauli
+    matrices), <My, y> = (tr M + sum_k s_k tr(M sigma_k)) / 2 is affine in s,
+    so <My, y> = 0 is two real linear equations: their minimum-norm solution
+    plus a null-space step reaches the unit sphere when zero is in the range.
+    """
+    c0 = 0.5 * (m[0, 0] + m[1, 1])
+    cv = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
+    r = np.array([cv.real, cv.imag])
+    # a nearly flat range (normal M) leaves one equation redundant up to
+    # rounding; the cut-off drops it instead of amplifying the rounding
+    s = np.linalg.lstsq(r, -np.array([c0.real, c0.imag]), rcond=1e-10)[0]
+    ns = float(np.linalg.norm(s))
+    if ns < 1.0:
+        s = s + math.sqrt(1.0 - ns * ns) * np.linalg.svd(r)[2][-1]
+    else:
+        s = s / ns
+    if s[2] > -0.5:
+        y = np.array([1.0 + s[2], s[0] + 1j * s[1]])
+    else:
+        y = np.array([s[0] - 1j * s[1], 1.0 - s[2]])
+    return y / np.linalg.norm(y)
 
 
 def _neg_phi_fg(aa: np.ndarray, ba: np.ndarray):
@@ -382,8 +516,11 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both", tol: float = 1e-7,
     if method in ("def", "both"):
         defv = check_definitional(a, b, tol)
     if method in ("witness", "both"):
+        # find_witness's default, passed in so the verdict records the tol used
+        nr_tol = 1e-9 * operator_norm(a) * operator_norm(b)
         try:
-            out = find_witness(a, b, rank_tol=rank_tol, restarts=restarts, seed=seed)
+            out = find_witness(a, b, rank_tol=rank_tol, nr_tol=nr_tol,
+                               restarts=restarts, seed=seed)
         except WitnessSearchError as exc:
             if method == "witness":
                 raise
@@ -392,7 +529,7 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both", tol: float = 1e-7,
             if isinstance(out, Witness):
                 witness = out
                 witv = Verdict(status=Status.ORTHOGONAL, margin=None,
-                               method=Method.WITNESS, tol=rank_tol)
+                               method=Method.WITNESS, tol=nr_tol)
             else:
                 witv = out
 

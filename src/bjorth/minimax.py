@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (ConvergenceError, Field, InputError, Matrix, Vector,
-                   top_singular_subspace)
-from .decision import _max_inner_inf
+from .core import ConvergenceError, Field, InputError, Matrix, Vector
+from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
+from .decision import _max_inner_inf, _saddle_starts
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
 
 GAP_TOL = 1e-4          # default relative duality-gap target
@@ -45,20 +43,6 @@ class SupInfResult:
     value: float
     x: Vector
     restarts: int
-
-
-def _saddle_starts(a: Matrix, b: Matrix, lam) -> list:
-    """Starting vectors read off the pencil at the line-search minimizer.
-
-    At an exact scalar minimizer lambda*, some top singular vector of
-    A + lambda*B maximizes the inner minimization, so the top band of the
-    pencil (widened to absorb line-search error) seeds the sphere search.
-    """
-    pencil = Matrix(a.field, a.data + lam * b.data)
-    if float(np.linalg.norm(pencil.data)) == 0.0:
-        return []
-    sd = top_singular_subspace(pencil, rank_tol=1e-4)
-    return [vec.data for vec in sd.top_subspace]
 
 
 def lhs_sup_inf(a: Matrix, b: Matrix, *, restarts: int = 50, seed: int = 0,

@@ -228,6 +228,14 @@ def test_operator_norm_triangle_and_scaling(seed, n):
 # ------------------------------------------------------------- hermitian_eig
 
 
+def assert_canonical_phase(vectors):
+    """Largest-modulus entry of each eigenvector is real and positive."""
+    for vec in vectors:
+        piv = vec.data[int(np.argmax(np.abs(vec.data)))]
+        assert piv.real > 0.0
+        assert abs(piv.imag) <= 1e-15 * abs(piv)
+
+
 def test_hermitian_eig_diagonal():
     w, vecs = hermitian_eig(rmat([[-1.0, 0.0], [0.0, 3.0]]))
     assert w == pytest.approx([-1.0, 3.0], abs=1e-12)
@@ -265,6 +273,7 @@ def test_hermitian_eig_reconstruction():
         assert np.linalg.norm(recon - h, 2) <= 1e-8 * scale
         for k in range(n):
             assert np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) <= 1e-9 * scale
+        assert_canonical_phase(vecs)
 
 
 def test_hermitian_eig_matches_numpy_reference():
@@ -317,6 +326,11 @@ def test_top_subspace_vectors_achieve_norm():
         sd = top_singular_subspace(Matrix(Field.COMPLEX, arr), rank_tol=1e-8)
         for vec in sd.top_subspace:
             assert np.linalg.norm(arr @ vec.data) >= sd.op_norm * (1.0 - 1e-8) - 1e-12
+        assert_canonical_phase(sd.top_subspace)
+    # a tied band and a real matrix keep the convention too
+    assert_canonical_phase(top_singular_subspace(cmat(np.diag([2.0, 2.0, 1.0]))).top_subspace)
+    assert_canonical_phase(top_singular_subspace(
+        Matrix(Field.REAL, _oracles.seeded(4, 44, complex_field=False))).top_subspace)
 
 
 def test_top_subspace_unitary_invariance_of_norm():
@@ -325,3 +339,49 @@ def test_top_subspace_unitary_invariance_of_norm():
     a = top_singular_subspace(Matrix(Field.COMPLEX, arr)).op_norm
     b = top_singular_subspace(Matrix(Field.COMPLEX, u @ arr)).op_norm
     assert abs(a - b) <= 1e-8
+
+
+# ------------------------------------------------------ numpy SVD reference
+
+
+def _svd_case(kind: str, complex_field: bool) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [60, int(complex_field), len(kind)])))
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_field else x
+
+    if kind == "near_tie":      # sigma_2 = sigma_1 * (1 - 1e-10)
+        u = _oracles.haar_unitary(4, 61, complex_field)
+        v = _oracles.haar_unitary(4, 62, complex_field)
+        return u @ np.diag([3.0, 3.0 * (1.0 - 1e-10), 0.5, 0.2]) @ v.conj().T
+    if kind == "rank_deficient":
+        return draw((4, 2)) @ draw((2, 4))
+    if kind == "zero":
+        return np.zeros((3, 3))
+    if kind == "one_by_one":
+        return draw((1, 1))
+    if kind == "wide":
+        return draw((2, 4))
+    return draw((4, 2))         # tall
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("kind", ["near_tie", "rank_deficient", "zero", "one_by_one",
+                                  "wide", "tall"])
+def test_spectral_kernels_match_numpy_svd(kind, complex_field):
+    arr = _svd_case(kind, complex_field)
+    m = Matrix(Field.COMPLEX if complex_field else Field.REAL, arr)
+    _, s, vh = np.linalg.svd(arr)
+    s = np.concatenate([s, np.zeros(arr.shape[1] - len(s))])
+    slack = 1e-14 * max(1.0, s[0])
+    assert abs(operator_norm(m) - s[0]) <= slack
+    sd = top_singular_subspace(m, rank_tol=1e-8)
+    assert abs(sd.op_norm - s[0]) <= slack
+    band = vh[s >= s[0] * (1.0 - 1e-8)].conj().T
+    basis = np.column_stack([vec.data for vec in sd.top_subspace])
+    assert basis.shape == band.shape
+    assert np.linalg.norm(basis @ basis.conj().T - band @ band.conj().T) <= 1e-10
+    if kind == "near_tie":
+        assert len(sd.top_subspace) == 2

@@ -1,11 +1,13 @@
 """Orthogonality decisions: definitional route, witness route, arbitration."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 import _oracles
+import bjorth.decision as decision_module
 from bjorth import (
     Field,
     InputError,
@@ -19,7 +21,9 @@ from bjorth import (
     epsilon_witness,
     find_witness,
     gen_orthogonal_pair,
+    global_inf_lambda,
     inner,
+    inner_inf,
     operator_norm,
     vector_bj_check,
     zero_in_numerical_range,
@@ -34,6 +38,11 @@ def cmat(rows) -> Matrix:
 
 def rmat(rows) -> Matrix:
     return Matrix(Field.REAL, np.array(rows, dtype=float))
+
+
+def _rotated_normal(eigs, seed):
+    u = _oracles.haar_unitary(len(eigs), seed)
+    return cmat(u @ np.diag(eigs) @ u.conj().T)
 
 
 DIAG_A = cmat([[1, 0], [0, 0]])
@@ -171,6 +180,23 @@ def test_numerical_range_normal_matrices_match_hull_oracle():
     assert checked >= 30
 
 
+@pytest.mark.parametrize("rel", [1.0 - 1e-6, 1.0 + 1e-6])
+@pytest.mark.parametrize("phase", [0.0, 0.3, 2.0, math.pi, -2.5])
+def test_numerical_range_one_by_one_closed_form(rel, phase):
+    # W([[c]]) = {c} = W(diag(c, c)); the 2x2 copy goes through the angle scan
+    tol = 1e-3
+    c = tol * rel * cmath.exp(1j * phase)
+    contains, cert = zero_in_numerical_range(cmat([[c]]), tol)
+    scan_contains, scan = zero_in_numerical_range(cmat([[c, 0], [0, c]]), tol)
+    assert contains is scan_contains is (rel < 1.0)
+    assert cert.support == pytest.approx(scan.support, abs=1e-9)
+    assert (cmath.exp(1j * cert.theta) * c).real == pytest.approx(abs(c), rel=1e-15)
+    # the scan's golden refinement resolves theta only to about sqrt(2 eps),
+    # where m(theta) = |c| cos(theta - theta*) is flat to rounding
+    gap = abs((cert.theta - scan.theta + math.pi) % (2.0 * math.pi) - math.pi)
+    assert gap <= 1e-7
+
+
 def test_numerical_range_rejects_non_square():
     with pytest.raises(InputError):
         zero_in_numerical_range(rmat([[1.0, 0.0]]))
@@ -233,6 +259,25 @@ def test_find_witness_dim_one():
     assert out.status is Status.NOT_ORTHOGONAL
 
 
+def test_find_witness_antipodal_normal_pencils():
+    # A = U diag(e^{ia}, -e^{ia}, smaller) U*, B = I is orthogonal, and the
+    # compression's numerical range is a segment through 0, where the sphere
+    # descent on |<Cy, y>|^2 stalls; the exact construction must take over
+    for seed in range(8):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(710 + seed)))
+        n = 3 + seed % 3
+        top = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rest = 0.5 * rng.uniform(0.0, 1.0, n - 2) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n - 2))
+        a = _rotated_normal([top, -top, *rest], 720 + seed)
+        b = cmat(np.eye(n))
+        w = find_witness(a, b)
+        assert isinstance(w, Witness)
+        assert w.epsilon <= 1e-8
+        rep = decide(a, b)
+        assert rep.witness_error is None
+        assert rep.verdict.status is Status.ORTHOGONAL
+
+
 def test_find_witness_rejects_non_square():
     with pytest.raises(InputError):
         find_witness(rmat([[1.0, 0.0]]), rmat([[0.0, 1.0]]))
@@ -262,6 +307,30 @@ def test_epsilon_witness_self_pair_fails():
     assert isinstance(out, WitnessFailure)
     assert out.best_value == pytest.approx(0.0, abs=1e-12)
     assert out.threshold == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b, eps", [
+    (cmat(np.eye(2)), cmat(np.eye(2)), 0.1),                    # self pair
+    (cmat(_oracles.seeded(4, 600)), cmat(_oracles.seeded(4, 601)), 1e-3),
+    (rmat(_oracles.seeded(3, 602, False)), rmat(_oracles.seeded(3, 603, False)), 1e-3),
+    (rmat(np.diag([2.0, 1.0])), rmat(np.eye(2)), 0.1),          # real kink, band k = 2
+    (cmat(np.diag([2.0, 1j, -1.0])), cmat(np.eye(3)), 0.1),     # complex kink, k = 2
+    (_rotated_normal(list(2.0 * np.exp(2j * np.pi * np.arange(3) / 3) + 0.3) + [0.1], 604),
+     cmat(np.eye(4)), 0.1),                                     # complex kink, k = 3
+], ids=["self_pair", "complex_ginibre", "real_ginibre", "real_kink_k2", "complex_kink_k2",
+        "complex_kink_k3"])
+def test_epsilon_witness_failure_certified_by_minimax(monkeypatch, a, b, eps):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sphere search ran on a certified failure")
+
+    monkeypatch.setattr(decision_module, "multistart_minimize", no_search)
+    out = epsilon_witness(a, b, eps)
+    assert isinstance(out, WitnessFailure)
+    assert out.best_value == pytest.approx(global_inf_lambda(a, b).value, abs=1e-9)
+    x = out.best_x.data
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    phi = inner_inf(Vector(a.field, a.data @ x), Vector(a.field, b.data @ x)).value
+    assert phi == pytest.approx(out.best_value, abs=1e-9)
 
 
 def test_epsilon_witness_ladder_residuals_track_eps():
@@ -312,6 +381,17 @@ def test_decide_single_route_wiring():
     assert rep.verdict.margin is None
     with pytest.raises(InputError):
         decide(DIAG_A, DIAG_B, method="definitely")
+
+
+def test_decide_witness_route_stores_numerical_range_tol():
+    for a, b in ((3.0 * DIAG_A.data, 5.0 * DIAG_B.data), (2.0 * np.eye(2), np.eye(2))):
+        a, b = cmat(a), cmat(b)
+        nr_tol = 1e-9 * operator_norm(a) * operator_norm(b)
+        for method in ("witness", "both"):
+            witv = decide(a, b, method=method).witness_verdict
+            assert witv.tol == pytest.approx(nr_tol, rel=1e-12)
+            if witv.certificate is not None:
+                assert witv.certificate.tol == witv.tol
 
 
 def test_decide_status_is_scale_invariant():
