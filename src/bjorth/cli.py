@@ -93,7 +93,8 @@ def _cmd_distance(args) -> int:
     _emit(args, {"schema_version": SCHEMA_VERSION, "value": res.value,
                  "lambda": _lam_pair(res.lambda_star),
                  "evaluations": res.evaluations,
-                 "budget_limited": res.budget_limited})
+                 "budget_limited": res.budget_limited,
+                 "stop_reason": res.stop_reason})
     _say(args, f"min over lambda = {res.value:.12g} at lambda = {_lam_pair(res.lambda_star)}")
     return 3 if res.budget_limited else 0
 
@@ -262,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="numerical tolerance (default 1e-7)")
         if restarts:
             sp.add_argument("--restarts", type=int, default=50,
-                            help="multi-start budget (default 50)")
+                            help="multi-start budget of the fallback sphere search (default 50)")
         if seed:
             sp.add_argument("--seed", type=int, default=None,
                             help="RNG seed (default: $BJORTH_SEED, else 0)")

@@ -206,7 +206,9 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     x1 = hi_t - _INVPHI * h
     x2 = lo_t + _INVPHI * h
     f1, f2 = m(x1), m(x2)
-    while h > 1e-10:
+    # m(theta) is flat to rounding within about sqrt(2 eps) = 2e-8 of its
+    # maximum, so a finer bracket cannot move the support
+    while h > 1e-8:
         if f1 > f2:
             hi_t, x2, f2 = x2, x1, f1
             h = hi_t - lo_t
@@ -265,10 +267,13 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
     1e-8 * ||a|| * ||b|| and are always re-checked from scratch on the
     assembled witness, which is the source of truth.
 
-    When the sphere minimization stalls above the threshold, the witness is
-    built directly by the inverse field-of-values construction
-    (_zero_form_vector).  Raises WitnessSearchError when the numerical range
-    says a witness should exist but neither reaches the threshold.
+    The witness is built directly by the inverse field-of-values
+    construction (_zero_form_vector): a unit y with <Cy, y> = 0 for the
+    compression C, lifted to the top subspace.  Only when its residual
+    misses the threshold does a seeded multistart sphere search on
+    |<Cy, y>|^2 run (restarts, seed and max_iter configure it).  Raises
+    WitnessSearchError when the numerical range says a witness should exist
+    but neither reaches the threshold.
     """
     _pair_checks(a, b, square=True)
     sd = top_singular_subspace(a, rank_tol)
@@ -286,20 +291,20 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
         return Verdict(status=Status.NOT_ORTHOGONAL, margin=None,
                        method=Method.WITNESS, tol=nr_tol, certificate=cert)
 
-    k = comp.shape[0]
-    fg = _abs_form_fg(comp)
-    det_starts = [np.eye(k, dtype=comp.dtype)[:, j] for j in range(k)]
-    stop = (0.1 * eps) ** 2 if eps > 0 else 0.0
-    _, y, _ = multistart_minimize(fg, k, complex_field=a.field is Field.COMPLEX,
-                                  restarts=restarts, seed=seed, det_starts=det_starts,
-                                  max_iter=max_iter, stop_below=stop)
     basis = np.column_stack([vec.data for vec in sd.top_subspace])
-    witness = Witness.from_vector(a, b, basis @ y)
+    witness = Witness.from_vector(
+        a, b, basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
     if witness.epsilon > eps:
-        # the descent can stall, e.g. on a range that is a segment through 0;
-        # the inverse field-of-values construction does not
-        witness = Witness.from_vector(
-            a, b, basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
+        k = comp.shape[0]
+        stop = (0.1 * eps) ** 2 if eps > 0 else 0.0
+        _, y, _ = multistart_minimize(
+            _abs_form_fg(comp), k, complex_field=a.field is Field.COMPLEX,
+            restarts=restarts, seed=seed,
+            det_starts=[np.eye(k, dtype=comp.dtype)[:, j] for j in range(k)],
+            max_iter=max_iter, stop_below=stop)
+        searched = Witness.from_vector(a, b, basis @ y)
+        if searched.epsilon < witness.epsilon:
+            witness = searched
     if witness.epsilon > eps:
         raise WitnessSearchError(
             f"witness search failed: best residual {witness.epsilon:.3e} above {eps:.3e}",
@@ -322,8 +327,11 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
     best_value = phi(best_x).  By the strong side of the identity (some band
     vector x has <(A + lambda B)x, Bx> = 0, hence phi(x) = ||A + lambda B||)
     this is the supremum of phi to the accuracy of the distance search.
-    Otherwise (orthogonal or nearly orthogonal pairs) a multistart sphere
-    search runs, and its failure reports the best value it reached.
+    Otherwise (orthogonal or nearly orthogonal pairs) that same band vector
+    is returned as the Witness when its phi clears the threshold.  Only when
+    it does not (the distance search missed the true minimizer, e.g. at a
+    kink) does a multistart sphere search run, and its failure reports the
+    best value it reached.
     """
     _pair_checks(a, b, square=True)
     sigma_a = operator_norm(a)
@@ -334,10 +342,12 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
     threshold = sigma_a - eps
 
     dist = global_inf_lambda(a, b)
+    value, best_x = _band_sup_inf(a, b, dist.lambda_star)
     if dist.value <= threshold * (1.0 - 1e-12):   # slack covers the norm's rounding
-        value, best_x = _band_sup_inf(a, b, dist.lambda_star)
         return WitnessFailure(best_value=value, threshold=threshold,
                               best_x=Vector(a.field, best_x))
+    if value > threshold:
+        return Witness.from_vector(a, b, best_x)
 
     # the objective is capped at ||a||^2, so a start within machine precision
     # of the cap ends the search; the threshold itself is NOT an early-out,
@@ -392,6 +402,8 @@ def _zero_form_vector(c: np.ndarray, complex_field: bool) -> np.ndarray:
     that edge, then a zero on the span of that vector and the third one.
     When zero is outside the range the result is only a nearby vector.
     """
+    if c.shape[0] == 1:   # W(C) = {c}: every unit vector is the same point
+        return np.ones(1, dtype=c.dtype)
     if not complex_field:
         w, v = np.linalg.eigh(0.5 * (c + c.T))
         if w[0] >= 0.0 or w[-1] <= 0.0:

@@ -20,6 +20,7 @@ from .core import Field, InputError, Matrix, Vector, inner, _sigma_max_sq
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_TOL = 1e-7
 DEFAULT_BUDGET = 100_000
+MAX_FRAMES = 64   # coordinate-frame sweeps before global_inf_lambda gives up
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,17 @@ class LineMinResult:
         Number of objective evaluations spent.
     budget_limited : bool
         True when the evaluation cap was hit before the tolerance.
+    stop_reason : str
+        Why the search ended: "converged" (closed form, or the value stopped
+        improving), "budget" (evaluation cap) or "frame_cap" (MAX_FRAMES
+        sweeps ran while the value was still improving).
     """
 
     value: float
     lambda_star: object
     evaluations: int
     budget_limited: bool = False
+    stop_reason: str = "converged"
 
 
 def _check_fields(ua, va, field):
@@ -141,6 +147,9 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
         Cap on spectral-norm evaluations; when exhausted the best value so
         far is returned with budget_limited set instead of raising.
 
+    The search also stops after MAX_FRAMES coordinate-frame sweeps; the
+    result's stop_reason says which of the three ends was reached.
+
     The minimizer lies in the disk |lambda| <= 2||a||/||b||, which bounds the
     search box.  lambda = 0 is always evaluated, so the result never exceeds
     ||a||.
@@ -196,8 +205,8 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     exhausted = False
     stagnant = 0
     need_stagnant = 1 if len(frames) == 1 else 2
-    max_frames = 64
-    for i in range(max_frames):
+    stop_reason = "frame_cap"
+    for i in range(MAX_FRAMES):
         val_before = best_val
         for d in frames[i % len(frames)]:
             center = best_lam
@@ -209,9 +218,11 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
             if exhausted:
                 break
         if exhausted:
+            stop_reason = "budget"
             break
         stagnant = stagnant + 1 if val_before - best_val < stop_gain else 0
         if stagnant >= need_stagnant and i >= 1:
+            stop_reason = "converged"
             break
 
     value = best_val * unit
@@ -219,7 +230,7 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     if value > norm_a:   # rounding from the rescale; lambda = 0 is feasible
         value, lam_out = norm_a, 0.0 + 0.0j
     lam_final = float(lam_out.real) if fld is Field.REAL else complex(lam_out)
-    return LineMinResult(value, lam_final, meter.used, exhausted)
+    return LineMinResult(value, lam_final, meter.used, exhausted, stop_reason)
 
 
 def limit_lemma_check(scalar, b: float, samples: int = 16) -> bool:

@@ -48,6 +48,7 @@ def test_distance(tmp_path, capsys):
     assert doc["lambda"][0] == pytest.approx(-1.5, abs=1e-6)
     assert doc["lambda"][1] == pytest.approx(0.0, abs=1e-6)
     assert doc["budget_limited"] is False
+    assert doc["stop_reason"] == "converged"
 
 
 def test_distance_budget_exhaustion(tmp_path, capsys):

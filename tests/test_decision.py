@@ -49,6 +49,15 @@ DIAG_A = cmat([[1, 0], [0, 0]])
 DIAG_B = cmat([[0, 0], [0, 1]])
 
 
+@pytest.fixture
+def no_sphere_search(monkeypatch):
+    """Make any multistart sphere search fail the test."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sphere search ran")
+
+    monkeypatch.setattr(decision_module, "multistart_minimize", no_search)
+
+
 # ----------------------------------------------------------- definitional route
 
 
@@ -259,10 +268,10 @@ def test_find_witness_dim_one():
     assert out.status is Status.NOT_ORTHOGONAL
 
 
-def test_find_witness_antipodal_normal_pencils():
+def test_find_witness_antipodal_normal_pencils(no_sphere_search):
     # A = U diag(e^{ia}, -e^{ia}, smaller) U*, B = I is orthogonal, and the
-    # compression's numerical range is a segment through 0, where the sphere
-    # descent on |<Cy, y>|^2 stalls; the exact construction must take over
+    # compression's numerical range is a segment through 0, where a sphere
+    # descent on |<Cy, y>|^2 stalls; the exact construction needs no search
     for seed in range(8):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(710 + seed)))
         n = 3 + seed % 3
@@ -319,11 +328,7 @@ def test_epsilon_witness_self_pair_fails():
      cmat(np.eye(4)), 0.1),                                     # complex kink, k = 3
 ], ids=["self_pair", "complex_ginibre", "real_ginibre", "real_kink_k2", "complex_kink_k2",
         "complex_kink_k3"])
-def test_epsilon_witness_failure_certified_by_minimax(monkeypatch, a, b, eps):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the sphere search ran on a certified failure")
-
-    monkeypatch.setattr(decision_module, "multistart_minimize", no_search)
+def test_epsilon_witness_failure_certified_by_minimax(no_sphere_search, a, b, eps):
     out = epsilon_witness(a, b, eps)
     assert isinstance(out, WitnessFailure)
     assert out.best_value == pytest.approx(global_inf_lambda(a, b).value, abs=1e-9)
@@ -331,6 +336,18 @@ def test_epsilon_witness_failure_certified_by_minimax(monkeypatch, a, b, eps):
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
     phi = inner_inf(Vector(a.field, a.data @ x), Vector(a.field, b.data @ x)).value
     assert phi == pytest.approx(out.best_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("fld", [Field.REAL, Field.COMPLEX])
+def test_epsilon_witness_success_built_from_band(no_sphere_search, fld):
+    for n in range(2, 7):
+        a, b = gen_orthogonal_pair(n, 620 + n, fld)
+        w = epsilon_witness(a, b, 1e-3)
+        assert isinstance(w, Witness)
+        x = w.x.data
+        phi = inner_inf(Vector(fld, a.data @ x), Vector(fld, b.data @ x)).value
+        assert phi > operator_norm(a) - 1e-3
+        assert w.ip_residual <= 1e-6 * operator_norm(a) * operator_norm(b)
 
 
 def test_epsilon_witness_ladder_residuals_track_eps():

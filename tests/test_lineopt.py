@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles
+import bjorth.lineopt as lineopt_module
 from bjorth import (
     Field,
     InputError,
@@ -196,6 +197,18 @@ def test_global_inf_budget_flag():
     assert tight.budget_limited
     assert tight.evaluations <= 8
     assert full.value - 1e-12 <= tight.value <= operator_norm(a) + 1e-12
+
+
+def test_global_inf_stop_reasons(monkeypatch):
+    a = cmat(_oracles.seeded(4, 95))
+    b = cmat(_oracles.seeded(4, 96))
+    assert global_inf_lambda(a, b).stop_reason == "converged"
+    assert global_inf_lambda(a, b, budget=8).stop_reason == "budget"
+    monkeypatch.setattr(lineopt_module, "MAX_FRAMES", 1)
+    capped = global_inf_lambda(a, b)
+    assert capped.stop_reason == "frame_cap"
+    assert not capped.budget_limited
+    assert inner_inf(cvec([1.0, 0.0]), cvec([1.0, 1.0])).stop_reason == "converged"
 
 
 def test_pencil_norm_is_midpoint_convex():

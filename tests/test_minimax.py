@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import _oracles
+import bjorth.decision as decision_module
+import bjorth.minimax as minimax_module
 from bjorth import (
     Field,
     InputError,
@@ -148,3 +150,30 @@ def test_lhs_stop_at_short_circuits():
                       stop_at=rhs.value - 1e-8)
     assert res.value >= rhs.value - 1e-6
     assert res.restarts <= 3
+
+
+@pytest.mark.parametrize("fld", [Field.REAL, Field.COMPLEX])
+def test_report_builds_lhs_without_search(monkeypatch, fld):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sphere search ran")
+
+    monkeypatch.setattr(decision_module, "multistart_minimize", no_search)
+    for n in range(2, 7):
+        a, b = gen_ginibre(n, 860 + 2 * n, fld), gen_ginibre(n, 861 + 2 * n, fld)
+        rep = minimax_report(a, b)
+        assert -1e-9 <= rep.gap
+        assert rep.rel_gap <= 1e-10
+        assert rep.restarts_used == 0
+        x = rep.argmax_x.data
+        phi = inner_inf(Vector(fld, a.data @ x), Vector(fld, b.data @ x)).value
+        assert phi == pytest.approx(rep.lhs_value, abs=1e-12)
+
+
+def test_report_falls_back_to_search_when_band_misses(monkeypatch):
+    band = minimax_module._band_sup_inf
+    monkeypatch.setattr(minimax_module, "_band_sup_inf",
+                        lambda a, b, lam: (0.0, band(a, b, lam)[1]))
+    rep = minimax_report(gen_ginibre(3, 870), gen_ginibre(3, 871))
+    assert rep.restarts_used >= 1
+    assert rep.rel_gap <= 1e-4
+    assert not rep.restart_starved
