@@ -102,8 +102,7 @@ def _cmd_distance(args) -> int:
 def _cmd_check(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    rep = decide(a, b, method=args.method, tol=args.tol,
-                 restarts=args.restarts, seed=_resolve_seed(args))
+    rep = decide(a, b, method=args.method, tol=args.tol)
     v = rep.verdict
     _emit(args, {"schema_version": SCHEMA_VERSION, "status": v.status.value,
                  "margin": v.margin, "method": v.method.value, "tol": v.tol,
@@ -118,9 +117,9 @@ def _cmd_check(args) -> int:
 def _cmd_witness(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    seed = _resolve_seed(args)
     if args.eps is not None:
-        out = epsilon_witness(a, b, args.eps, restarts=args.restarts, seed=seed)
+        out = epsilon_witness(a, b, args.eps, restarts=args.restarts,
+                              seed=_resolve_seed(args))
         if isinstance(out, Witness):
             _emit(args, {"schema_version": SCHEMA_VERSION,
                          "status": "ORTHOGONAL", **_witness_json(out)})
@@ -132,7 +131,7 @@ def _cmd_witness(args) -> int:
         _say(args, f"no witness: best value {out.best_value:.6g} "
                    f"below threshold {out.threshold:.6g}")
         return 1
-    out = find_witness(a, b, restarts=args.restarts, seed=seed)
+    out = find_witness(a, b)
     if isinstance(out, Witness):
         _emit(args, {"schema_version": SCHEMA_VERSION,
                      "status": "ORTHOGONAL", **_witness_json(out)})
@@ -157,7 +156,7 @@ def _cmd_minimax(args) -> int:
 
 
 _CONFIG_KEYS = {"dims", "trials_per_dim", "seed", "field", "tolerances",
-                "minimax_restarts", "witness_restarts"}
+                "minimax_restarts"}
 _TOL_KEYS = {"decision_tol", "gap_tol", "witness_eps"}
 
 
@@ -194,8 +193,6 @@ def _suite_config(args) -> SuiteConfig:
         kw["field"] = Field.parse(d["field"])
     if "minimax_restarts" in d:
         kw["minimax_restarts"] = d["minimax_restarts"]
-    if "witness_restarts" in d:
-        kw["witness_restarts"] = d["witness_restarts"]
     return SuiteConfig(seed=seed, tolerances=Tolerances(**tol_d), **kw)
 
 
@@ -292,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b", metavar="B.json")
     sp.add_argument("--method", choices=("def", "witness", "both"),
                     default="both", help="decision route (default both)")
-    common(sp, tol=True, restarts=True, seed=True)
+    common(sp, tol=True)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("witness",
@@ -301,7 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("b", metavar="B.json")
     sp.add_argument("--eps", type=float, default=None,
                     help="relaxed threshold: accept ||(A+tB)x|| > ||A|| - eps")
-    common(sp, restarts=True, seed=True)
+    sp.add_argument("--restarts", type=int, default=50,
+                    help="with --eps: multi-start budget of the fallback sphere "
+                         "search (default 50)")
+    common(sp, seed=True)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("minimax",

@@ -113,7 +113,6 @@ class SuiteConfig:
     field: Field = Field.COMPLEX
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
     minimax_restarts: int = 50
-    witness_restarts: int = 32
 
     def __post_init__(self):
         if not self.dims or any(d < 2 for d in self.dims):
@@ -129,7 +128,6 @@ class SuiteConfig:
             "field": self.field.value,
             "tolerances": self.tolerances.to_json_dict(),
             "minimax_restarts": self.minimax_restarts,
-            "witness_restarts": self.witness_restarts,
         }
 
 
@@ -162,8 +160,7 @@ def _agreement_trial(cfg: SuiteConfig, dim: int, trial: int):
     tols = cfg.tolerances
     rec = {"suite": "agreement", "dim": dim, "trial": trial, "seed": ts}
     try:
-        rep = decide(a, b, method="both", tol=tols.decision_tol,
-                     restarts=cfg.witness_restarts, seed=ts)
+        rep = decide(a, b, method="both", tol=tols.decision_tol)
     except Exception as exc:
         return rec | {"error": str(exc)}, (a, b, f"decide raised: {exc}")
     margin = rep.definitional.margin
@@ -190,7 +187,7 @@ def _witness_quality_trial(cfg: SuiteConfig, dim: int, trial: int):
     sigma_a = operator_norm(a)
     sigma_ab = sigma_a * operator_norm(b)
     try:
-        out = find_witness(a, b, seed=ts, restarts=cfg.witness_restarts)
+        out = find_witness(a, b)
     except Exception as exc:
         return rec | {"error": str(exc)}, (a, b, f"find_witness raised: {exc}")
     if not isinstance(out, Witness):

@@ -12,3 +12,12 @@ def announce(capfd):
         with capfd.disabled():
             print(line, flush=True)
     return _say
+
+
+@pytest.fixture
+def no_sphere_search(monkeypatch):
+    """Make any multistart sphere search fail the test."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sphere search ran")
+
+    monkeypatch.setattr("bjorth.decision.multistart_minimize", no_search)

@@ -59,7 +59,7 @@ def constructed_results():
             for _ in range(10):
                 a, b = gen_orthogonal_pair(n, 7000 + k, fld)
                 try:
-                    w = find_witness(a, b, seed=k)
+                    w = find_witness(a, b)
                 except WitnessSearchError:
                     w = None
                 out.append((a, b, w))
@@ -111,7 +111,7 @@ def test_criterion_2_route_agreement(announce):
         n = 2 + k % 5
         a = gen_ginibre(n, 90_000 + 2 * k)
         b = gen_ginibre(n, 90_001 + 2 * k)
-        rep = decide(a, b, seed=k)
+        rep = decide(a, b)
         if abs(rep.definitional.margin) > 1e-6:
             decisive += 1
             agree += (rep.witness_error is None

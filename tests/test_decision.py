@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import _oracles
-import bjorth.decision as decision_module
 from bjorth import (
     Field,
     InputError,
@@ -47,15 +46,6 @@ def _rotated_normal(eigs, seed):
 
 DIAG_A = cmat([[1, 0], [0, 0]])
 DIAG_B = cmat([[0, 0], [0, 1]])
-
-
-@pytest.fixture
-def no_sphere_search(monkeypatch):
-    """Make any multistart sphere search fail the test."""
-    def no_search(*args, **kwargs):
-        raise AssertionError("the sphere search ran")
-
-    monkeypatch.setattr(decision_module, "multistart_minimize", no_search)
 
 
 # ----------------------------------------------------------- definitional route
@@ -204,6 +194,22 @@ def test_numerical_range_one_by_one_closed_form(rel, phase):
     # where m(theta) = |c| cos(theta - theta*) is flat to rounding
     gap = abs((cert.theta - scan.theta + math.pi) % (2.0 * math.pi) - math.pi)
     assert gap <= 1e-7
+
+
+def test_numerical_range_separates_flat_edge_just_past_tol():
+    # W(e^{ia} diag(h + i d, -h + i d)) is a segment at distance d from zero,
+    # its nearest point inside the edge, so m(theta) has a kink at its
+    # maximum: an angle error delta costs about h * |delta| of support
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+    for _ in range(40):
+        rot = cmath.exp(2j * math.pi * rng.uniform())
+        h = rng.uniform(0.5, 2.0)
+        tol = 1e-9 * math.sqrt(2.0) * h
+        d = 1.5 * tol
+        contains, cert = zero_in_numerical_range(
+            cmat(rot * np.diag([h + 1j * d, -h + 1j * d])), tol)
+        assert not contains
+        assert cert.support > tol
 
 
 def test_numerical_range_rejects_non_square():
