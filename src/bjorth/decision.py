@@ -21,13 +21,20 @@ import numpy as np
 
 from ._sphere import multistart_minimize
 from .core import (ConvergenceError, Field, InputError, Matrix, SpectralData,
-                   Vector, inner, operator_norm, top_singular_subspace)
-from .lineopt import global_inf_lambda, inner_inf
+                   Vector, inner, operator_norm, top_singular_subspace, _check_pair)
+from .lineopt import _Budget, _brent_line, global_inf_lambda, inner_inf
 
 log = logging.getLogger("bjorth")
 
 NR_GRID = 720   # coarse angles scanned before local refinement
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Width of the refined angle bracket.  Where the range point nearest zero
+# lies inside a flat edge, m(theta) has a kink at its maximum and an angle
+# error delta costs |delta| times the edge's half-length, which a 1e-8
+# bracket makes comparable to tol.
+_NR_XTOL = 1e-10
+# Cap on refinement evaluations, far above the 12 to 33 taken on random and
+# flat-edge ranges.
+_NR_MAX_EVALS = 200
 
 
 class Status(enum.Enum):
@@ -118,21 +125,12 @@ class WitnessFailure:
     best_x: Vector
 
 
-def _pair_checks(a: Matrix, b: Matrix, square: bool) -> None:
-    if a.field is not b.field:
-        raise InputError("operands carry different field tags")
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if square and not a.is_square():
-        raise InputError(f"square matrices required, got {a.shape}")
-
-
 def check_definitional(a: Matrix, b: Matrix, tol: float = 1e-7) -> Verdict:
     """Decide orthogonality straight from the norm-minimization definition.
 
     ORTHOGONAL when inf over lambda of ||a + lambda*b|| >= ||a|| - tol.
     """
-    _pair_checks(a, b, square=False)
+    _check_pair(a, b)
     if not (0.0 < tol < 1.0):
         raise InputError(f"tol must lie in (0, 1), got {tol}")
     res = global_inf_lambda(a, b, tol=min(tol * 0.1, 1e-7))
@@ -160,8 +158,9 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     inside iff |c| <= tol, and the half-plane at theta = -arg(c) has support
     |c|.  Larger compressions scan m(theta) = lambda_min(Re(e^{i theta} C))
     over a 720-point grid in one stacked eigenvalue call, then sharpen the
-    best angle by golden section; a value above tol is a separating
-    half-plane, so zero is outside.
+    best angle by minimizing -m with the distance search's line minimizer
+    (Brent's method) to a bracket of 1e-10; a value above tol is a
+    separating half-plane, so zero is outside.
 
     Returns (contains_zero, SeparationCertificate).
     """
@@ -201,31 +200,10 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     j = int(np.argmax(mins))
     best_theta, best_m = float(grid[j]), float(mins[j])
 
-    # local golden-section sharpening of the best separating angle
-    lo_t, hi_t = best_theta - step, best_theta + step
-    h = hi_t - lo_t
-    x1 = hi_t - _INVPHI * h
-    x2 = lo_t + _INVPHI * h
-    f1, f2 = m(x1), m(x2)
-    # keep the bracket fine: where the range point nearest zero lies inside a
-    # flat edge, m has a kink at its maximum and an angle error delta costs
-    # |delta| times the edge's half-length, which a 1e-8 bracket makes
-    # comparable to tol
-    while h > 1e-10:
-        if f1 > f2:
-            hi_t, x2, f2 = x2, x1, f1
-            h = hi_t - lo_t
-            x1 = hi_t - _INVPHI * h
-            f1 = m(x1)
-        else:
-            lo_t, x1, f1 = x1, x2, f2
-            h = hi_t - lo_t
-            x2 = lo_t + _INVPHI * h
-            f2 = m(x2)
-        if f1 > best_m:
-            best_theta, best_m = x1, f1
-        if f2 > best_m:
-            best_theta, best_m = x2, f2
+    theta, neg_m, _ = _brent_line(lambda t: -m(t), best_theta - step, best_theta + step,
+                                  _NR_XTOL, _Budget(_NR_MAX_EVALS))
+    if -neg_m > best_m:
+        best_theta, best_m = theta, -neg_m
 
     best_theta = best_theta % (2.0 * math.pi)
     cert = SeparationCertificate(best_theta, best_m, tol)
@@ -261,7 +239,7 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
     WitnessSearchError when the numerical range says a witness should exist
     but the constructed vector misses the threshold.
     """
-    _pair_checks(a, b, square=True)
+    _check_pair(a, b, square=True)
     sd = top_singular_subspace(a, rank_tol)
     sigma_a = sd.op_norm
     sigma_b = operator_norm(b)
@@ -308,7 +286,7 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
     kink) does a multistart sphere search run, and its failure reports the
     best value it reached.
     """
-    _pair_checks(a, b, square=True)
+    _check_pair(a, b, square=True)
     sigma_a = operator_norm(a)
     if sigma_a == 0.0:
         raise InputError("epsilon_witness needs a nonzero first matrix")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConvergenceError, Field, InputError, Matrix, Vector
+from .core import ConvergenceError, Field, InputError, Matrix, Vector, _check_pair
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
 from .decision import _band_sup_inf, _max_inner_inf, _saddle_starts
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
@@ -32,12 +32,7 @@ _MAX_RESTART_SCALE = 4  # doubling cap when the gap refuses to close
 
 
 def _square_pair(a: Matrix, b: Matrix) -> None:
-    if a.field is not b.field:
-        raise InputError("operands carry different field tags")
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not a.is_square():
-        raise InputError(f"square matrices required, got {a.shape}")
+    _check_pair(a, b, square=True)
     if a.rows < 2:
         raise InputError("the minimax identity needs dimension at least 2")
 

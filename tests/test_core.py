@@ -13,9 +13,16 @@ from bjorth import (
     InputError,
     Matrix,
     Vector,
+    check_definitional,
+    epsilon_witness,
+    find_witness,
+    global_inf_lambda,
     hermitian_eig,
     inner,
+    inner_inf,
+    minimax_report,
     operator_norm,
+    rhs_inf_sup,
     top_singular_subspace,
 )
 
@@ -385,3 +392,34 @@ def test_spectral_kernels_match_numpy_svd(kind, complex_field):
     assert np.linalg.norm(basis @ basis.conj().T - band @ band.conj().T) <= 1e-10
     if kind == "near_tie":
         assert len(sd.top_subspace) == 2
+
+
+# ------------------------------------------------------------ pair validation
+
+
+def test_pair_validation_messages_shared_by_callers():
+    r2, c2, r3 = rmat(np.eye(2)), cmat(np.eye(2)), rmat(np.eye(3))
+    wide = rmat([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    cases = [
+        (check_definitional, (r2, c2), "operands carry different field tags"),
+        (check_definitional, (r2, r3), r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
+        (global_inf_lambda, (r2, c2), "operands carry different field tags"),
+        (global_inf_lambda, (r2, r3), r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
+        (find_witness, (wide, wide), r"square matrices required, got \(2, 3\)"),
+        (epsilon_witness, (wide, wide, 0.1), r"square matrices required, got \(2, 3\)"),
+        (minimax_report, (r2, c2), "operands carry different field tags"),
+        (minimax_report, (wide, wide), r"square matrices required, got \(2, 3\)"),
+        (rhs_inf_sup, (rmat([[1.0]]), rmat([[2.0]])),
+         "the minimax identity needs dimension at least 2"),
+        (inner_inf, (Vector(Field.REAL, [1.0]), Vector(Field.REAL, [1.0, 0.0])),
+         "dimension mismatch: 1 vs 2"),
+        (inner_inf, (Vector(Field.REAL, [1.0]), Vector(Field.COMPLEX, [1.0])),
+         "operands carry different field tags"),
+    ]
+    for fn, args, message in cases:
+        with pytest.raises(InputError, match=message):
+            fn(*args)
+    u = Vector(Field.REAL, [1.0, 0.0])
+    with pytest.raises(InputError, match="explicit field tag disagrees with the operands"):
+        inner_inf(u, u, field="complex")
+    assert inner_inf(u, u, field=Field.REAL).value == 0.0

@@ -190,7 +190,7 @@ def test_numerical_range_one_by_one_closed_form(rel, phase):
     assert contains is scan_contains is (rel < 1.0)
     assert cert.support == pytest.approx(scan.support, abs=1e-9)
     assert (cmath.exp(1j * cert.theta) * c).real == pytest.approx(abs(c), rel=1e-15)
-    # the scan's golden refinement resolves theta only to about sqrt(2 eps),
+    # the scan's line refinement resolves theta only to about sqrt(2 eps),
     # where m(theta) = |c| cos(theta - theta*) is flat to rounding
     gap = abs((cert.theta - scan.theta + math.pi) % (2.0 * math.pi) - math.pi)
     assert gap <= 1e-7

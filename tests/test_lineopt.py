@@ -1,4 +1,4 @@
-"""Scalar line minimization: closed form, global pencil search, limit lemma."""
+"""Scalar line minimization: closed form, line minimizer, global pencil search, limit lemma."""
 
 import math
 
@@ -114,6 +114,82 @@ def test_inner_inf_is_the_minimum(seed, complex_field):
         assert np.linalg.norm(u + lam * v) >= res.value - 1e-12
 
 
+# ------------------------------------------------------------- line minimizer
+
+
+def counted(f):
+    """f with a list of the points it was evaluated at."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return f(t)
+
+    return g, calls
+
+
+def test_line_min_smooth_quadratic_is_fast():
+    # golden section spends 49 evaluations to shrink [-2, 3] below 1e-9
+    def f(t):
+        return (t - 0.3) ** 2
+
+    g, calls = counted(f)
+    xtol = 1e-9
+    x, fx, exhausted = lineopt_module._brent_line(g, -2.0, 3.0, xtol, lineopt_module._Budget(100))
+    assert not exhausted
+    assert abs(x - 0.3) <= xtol
+    assert fx == f(x)
+    assert len(calls) <= 15
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: abs(t - 0.123456789),
+    lambda t: max(2.0 * (t - 0.123456789), -0.5 * (t - 0.123456789)),
+], ids=["abs", "max_of_lines"])
+def test_line_min_kinks(f):
+    xtol = 1e-9
+    x, _, exhausted = lineopt_module._brent_line(f, -1.0, 2.0, xtol, lineopt_module._Budget(500))
+    assert not exhausted
+    assert abs(x - 0.123456789) <= xtol
+
+
+def test_line_min_bracket_below_xtol():
+    def f(t):
+        return (t - 5.0) ** 2
+
+    g, calls = counted(f)
+    meter = lineopt_module._Budget(100)
+    x, fx, exhausted = lineopt_module._brent_line(g, 1.0, 1.0 + 1e-12, 1e-9, meter)
+    assert calls == [0.5 * (1.0 + (1.0 + 1e-12))] and x == calls[0]
+    assert fx == f(x) and not exhausted
+    assert meter.used == 1
+
+
+def test_line_min_budget_exhaustion():
+    def f(t):
+        return abs(t - 0.3)
+
+    g, calls = counted(f)
+    meter = lineopt_module._Budget(5)
+    x, fx, exhausted = lineopt_module._brent_line(g, -2.0, 3.0, 1e-12, meter)
+    assert exhausted
+    assert len(calls) == meter.used <= 5
+    assert fx == min(f(t) for t in calls) and f(x) == fx
+
+
+def test_line_min_maximizes_by_negation():
+    # the numerical-range refinement maximizes m(theta) this way
+    def m(t):
+        return 1.0 - 3.0 * abs(t - 0.7)
+
+    neg, calls = counted(lambda t: -m(t))
+    theta, neg_best, exhausted = lineopt_module._brent_line(
+        neg, 0.6, 0.8, 1e-10, lineopt_module._Budget(200))
+    assert not exhausted
+    assert abs(theta - 0.7) <= 1e-10
+    assert -neg_best == m(theta) == max(m(t) for t in calls)
+
+
 # ----------------------------------------------------------- global_inf_lambda
 
 
@@ -209,6 +285,38 @@ def test_global_inf_stop_reasons(monkeypatch):
     assert capped.stop_reason == "frame_cap"
     assert not capped.budget_limited
     assert inner_inf(cvec([1.0, 0.0]), cvec([1.0, 1.0])).stop_reason == "converged"
+
+
+# golden-section line searches spent these evaluations on the seeded pairs
+@pytest.mark.parametrize("n, seeds, complex_field, golden_evals", [
+    (4, (95, 96), True, 492),
+    (3, (90, 91), False, 100),
+    (3, (80, 81), True, 590),
+])
+def test_global_inf_evaluation_counts(n, seeds, complex_field, golden_evals):
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    a = Matrix(fld, _oracles.seeded(n, seeds[0], complex_field))
+    b = Matrix(fld, _oracles.seeded(n, seeds[1], complex_field))
+    res = global_inf_lambda(a, b)
+    assert res.stop_reason == "converged"
+    assert res.evaluations <= 0.6 * golden_evals
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_global_inf_hermitian_kink_oracle(complex_field, scale):
+    # for Hermitian A = Q diag(w) Q* and B = I, ||A + lambda I|| is
+    # max_k |w_k + lambda|, smallest at lambda = -(max w + min w) / 2 with
+    # value (max w - min w) / 2, where the two extreme eigenvalues tie: a kink
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    tol = 1e-7 * scale
+    for n in range(2, 7):
+        q = _oracles.haar_unitary(n, 300 + n, complex_field)
+        w = scale * seeded_vec(n, 400 + n, complex_field=False)
+        a = (q * w) @ q.conj().T
+        res = global_inf_lambda(Matrix(fld, 0.5 * (a + a.conj().T)),
+                                Matrix(fld, np.eye(n)), tol=tol)
+        assert abs(res.value - 0.5 * (w.max() - w.min())) <= tol
 
 
 def test_pencil_norm_is_midpoint_convex():
