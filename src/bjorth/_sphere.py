@@ -1,5 +1,6 @@
-"""Projected-gradient descent on the unit sphere, shared by the witness
-search and the sup-inf maximizer.
+"""Projected-gradient descent on the unit sphere, used by the sup-inf
+maximizer (minimax.lhs_sup_inf), which computes the left side of the minimax
+identity independently of the distance solver.
 
 Objectives are smooth almost everywhere but can develop kinks (e.g. where a
 denominator vector vanishes), so the loop is a plain descent with

@@ -92,6 +92,7 @@ def _cmd_distance(args) -> int:
     res = global_inf_lambda(a, b, tol=args.tol, budget=args.budget)
     _emit(args, {"schema_version": SCHEMA_VERSION, "value": res.value,
                  "lambda": _lam_pair(res.lambda_star),
+                 "lower_bound": res.lower_bound,
                  "evaluations": res.evaluations,
                  "budget_limited": res.budget_limited,
                  "stop_reason": res.stop_reason})
@@ -118,8 +119,7 @@ def _cmd_witness(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     if args.eps is not None:
-        out = epsilon_witness(a, b, args.eps, restarts=args.restarts,
-                              seed=_resolve_seed(args))
+        out = epsilon_witness(a, b, args.eps)
         if isinstance(out, Witness):
             _emit(args, {"schema_version": SCHEMA_VERSION,
                          "status": "ORTHOGONAL", **_witness_json(out)})
@@ -147,16 +147,14 @@ def _cmd_witness(args) -> int:
 def _cmd_minimax(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    rep = minimax_report(a, b, restarts=args.restarts, seed=_resolve_seed(args),
-                         tol=args.tol)
+    rep = minimax_report(a, b, tol=args.tol)
     _emit(args, {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()})
     _say(args, f"lhs = {rep.lhs_value:.12g}, rhs = {rep.rhs_value:.12g}, "
                f"gap = {rep.gap:.3e}")
     return 3 if (rep.restart_starved or rep.budget_limited) else 0
 
 
-_CONFIG_KEYS = {"dims", "trials_per_dim", "seed", "field", "tolerances",
-                "minimax_restarts"}
+_CONFIG_KEYS = {"dims", "trials_per_dim", "seed", "field", "tolerances"}
 _TOL_KEYS = {"decision_tol", "gap_tol", "witness_eps"}
 
 
@@ -191,8 +189,6 @@ def _suite_config(args) -> SuiteConfig:
         kw["trials_per_dim"] = d["trials_per_dim"]
     if "field" in d:
         kw["field"] = Field.parse(d["field"])
-    if "minimax_restarts" in d:
-        kw["minimax_restarts"] = d["minimax_restarts"]
     return SuiteConfig(seed=seed, tolerances=Tolerances(**tol_d), **kw)
 
 
@@ -254,16 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "2 input error, 3 numerical failure.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, tol=False, restarts=False, seed=False, budget=False):
+    def common(sp, *, tol=False, budget=False):
         if tol:
             sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                             help="numerical tolerance (default 1e-7)")
-        if restarts:
-            sp.add_argument("--restarts", type=int, default=50,
-                            help="multi-start budget of the fallback sphere search (default 50)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="RNG seed (default: $BJORTH_SEED, else 0)")
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="norm evaluation budget (default 100000)")
@@ -293,22 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("witness",
-                        help="search for a witness vector (exact, or --eps relaxed)")
+                        help="construct a witness vector (exact, or --eps relaxed)")
     sp.add_argument("a", metavar="A.json")
     sp.add_argument("b", metavar="B.json")
     sp.add_argument("--eps", type=float, default=None,
                     help="relaxed threshold: accept ||(A+tB)x|| > ||A|| - eps")
-    sp.add_argument("--restarts", type=int, default=50,
-                    help="with --eps: multi-start budget of the fallback sphere "
-                         "search (default 50)")
-    common(sp, seed=True)
+    common(sp)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("minimax",
                         help="evaluate both sides of the minimax identity")
     sp.add_argument("a", metavar="A.json")
     sp.add_argument("b", metavar="B.json")
-    common(sp, tol=True, restarts=True, seed=True)
+    common(sp, tol=True)
     sp.set_defaults(func=_cmd_minimax)
 
     sp = sub.add_parser("suite", help="run the randomized evaluation suite")

@@ -252,6 +252,18 @@ def operator_norm(m: Matrix) -> float:
     return math.sqrt(_sigma_max_sq(m.data))
 
 
+def _top_band(a: np.ndarray, rank_tol: float):
+    """sigma_max of a raw matrix and, as columns in descending order of
+    sigma, the right singular vectors with sigma >= sigma_max * (1 - rank_tol)."""
+    w, v = np.linalg.eigh(a.conj().T @ a)
+    v = _canonical_phase(v)
+    sigmas = np.sqrt(np.clip(w, 0.0, None))
+    smax = float(sigmas[-1])
+    keep = np.flatnonzero(sigmas >= smax * (1.0 - rank_tol))
+    keep = keep[np.argsort(-sigmas[keep], kind="stable")]
+    return smax, v[:, keep]
+
+
 def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
     """Orthonormal basis of the right singular vectors attached to the top
     singular value.
@@ -273,14 +285,6 @@ def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
     """
     if not (0.0 < rank_tol < 1e-2):
         raise InputError(f"rank_tol must lie in (0, 1e-2), got {rank_tol}")
-    a = m.data
-    gram = a.conj().T @ a
-    w, v = np.linalg.eigh(gram)
-    v = _canonical_phase(v)
-    sigmas = np.sqrt(np.clip(w, 0.0, None))
-    smax = float(sigmas[-1])
-    cut = smax * (1.0 - rank_tol)
-    keep = [k for k in range(len(sigmas)) if sigmas[k] >= cut]
-    keep.sort(key=lambda k: -sigmas[k])
-    basis = [Vector(m.field, v[:, k]) for k in keep]
-    return SpectralData(op_norm=smax, top_subspace=basis, rank_tol=rank_tol)
+    smax, basis = _top_band(m.data, rank_tol)
+    vectors = [Vector(m.field, basis[:, k]) for k in range(basis.shape[1])]
+    return SpectralData(op_norm=smax, top_subspace=vectors, rank_tol=rank_tol)

@@ -11,7 +11,6 @@ numerical range of the compression of B*A to the top singular subspace of A.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import logging
 import math
@@ -20,21 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize
-from .core import (ConvergenceError, Field, InputError, Matrix, SpectralData,
-                   Vector, inner, operator_norm, top_singular_subspace, _check_pair)
-from .lineopt import _Budget, _brent_line, global_inf_lambda, inner_inf
+from .core import (ConvergenceError, Field, InputError, Matrix, Vector, inner,
+                   operator_norm, top_singular_subspace, _check_pair)
+from .lineopt import (SeparationCertificate, _zero_form_vector, global_inf_lambda,
+                      inner_inf, zero_in_numerical_range)
 
 log = logging.getLogger("bjorth")
-
-NR_GRID = 720   # coarse angles scanned before local refinement
-# Width of the refined angle bracket.  Where the range point nearest zero
-# lies inside a flat edge, m(theta) has a kink at its maximum and an angle
-# error delta costs |delta| times the edge's half-length, which a 1e-8
-# bracket makes comparable to tol.
-_NR_XTOL = 1e-10
-# Cap on refinement evaluations, far above the 12 to 33 taken on random and
-# flat-edge ranges.
-_NR_MAX_EVALS = 200
 
 
 class Status(enum.Enum):
@@ -55,19 +45,6 @@ class WitnessSearchError(ConvergenceError):
     def __init__(self, message: str, best_residual: float):
         super().__init__(message)
         self.best_residual = best_residual
-
-
-@dataclass(frozen=True)
-class SeparationCertificate:
-    """Record of the best separating half-plane found for the numerical range.
-
-    theta is the rotation angle, support the minimum of the rotated real part
-    over the unit sphere.  support > tol certifies that zero lies outside.
-    """
-
-    theta: float
-    support: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -149,74 +126,6 @@ def vector_bj_check(u: Vector, v: Vector, tol: float = 1e-8):
     return bool(res.value >= u.norm() - tol), abs(inner(u, v))
 
 
-def zero_in_numerical_range(c: Matrix, tol: float | None = None):
-    """Test whether zero lies in the numerical range {<Cy, y> : ||y|| = 1}.
-
-    Over the real field the range is the real interval [lambda_min,
-    lambda_max] of the symmetric part, checked directly.  Over the complex
-    field a 1x1 compression has the single point W(C) = {c}: zero lies
-    inside iff |c| <= tol, and the half-plane at theta = -arg(c) has support
-    |c|.  Larger compressions scan m(theta) = lambda_min(Re(e^{i theta} C))
-    over a 720-point grid in one stacked eigenvalue call, then sharpen the
-    best angle by minimizing -m with the distance search's line minimizer
-    (Brent's method) to a bracket of 1e-10; a value above tol is a
-    separating half-plane, so zero is outside.
-
-    Returns (contains_zero, SeparationCertificate).
-    """
-    if not c.is_square():
-        raise InputError(f"square matrix required, got {c.shape}")
-    if tol is None:
-        tol = 1e-9 * float(np.linalg.norm(c.data))
-    ca = c.data
-    if c.field is Field.REAL:
-        sym = 0.5 * (ca + ca.T)
-        w = np.linalg.eigvalsh(sym)
-        lo, hi = float(w[0]), float(w[-1])
-        if lo > tol:
-            return False, SeparationCertificate(0.0, lo, tol)
-        if hi < -tol:
-            return False, SeparationCertificate(math.pi, -hi, tol)
-        if lo >= -hi:
-            return True, SeparationCertificate(0.0, lo, tol)
-        return True, SeparationCertificate(math.pi, -hi, tol)
-
-    if c.rows == 1:
-        z = complex(ca[0, 0])
-        support = abs(z)
-        theta = -cmath.phase(z) % (2.0 * math.pi)
-        return support <= tol, SeparationCertificate(theta, support, tol)
-
-    h1 = 0.5 * (ca + ca.conj().T)
-    h2 = (ca - ca.conj().T) / 2j
-
-    def m(theta: float) -> float:
-        w = np.linalg.eigvalsh(math.cos(theta) * h1 - math.sin(theta) * h2)
-        return float(w[0])
-
-    step = 2.0 * math.pi / NR_GRID
-    grid, stack = _scan_stack(ca)
-    mins = np.linalg.eigvalsh(stack)[:, 0]
-    j = int(np.argmax(mins))
-    best_theta, best_m = float(grid[j]), float(mins[j])
-
-    theta, neg_m, _ = _brent_line(lambda t: -m(t), best_theta - step, best_theta + step,
-                                  _NR_XTOL, _Budget(_NR_MAX_EVALS))
-    if -neg_m > best_m:
-        best_theta, best_m = theta, -neg_m
-
-    best_theta = best_theta % (2.0 * math.pi)
-    cert = SeparationCertificate(best_theta, best_m, tol)
-    return best_m <= tol, cert
-
-
-def _scan_stack(ca: np.ndarray):
-    """The scan angles and Re(e^{i theta} C) at each of them, stacked."""
-    grid = np.arange(NR_GRID) * (2.0 * math.pi / NR_GRID)
-    rot = np.exp(1j * grid)[:, None, None] * ca
-    return grid, 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
-
-
 def _compression(a: Matrix, b: Matrix, basis: list) -> np.ndarray:
     """Compression of B*A to the span of the given orthonormal basis."""
     m = np.column_stack([vec.data for vec in basis])
@@ -265,26 +174,17 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
     return witness
 
 
-def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
-                    seed: int = 0, max_iter: int = 400):
-    """Search for a unit x with phi(x) = inf over lambda of ||(A + lambda B)x||
-    above ||A|| - eps.
+def epsilon_witness(a: Matrix, b: Matrix, eps: float):
+    """Find a unit x with phi(x) = inf over lambda of ||(A + lambda B)x||
+    above ||A|| - eps, or certify that none exists.
 
-    Success certifies orthogonality up to eps.  A failure is first sought
-    from the minimax identity sup_x phi(x) = inf_lambda ||A + lambda B||:
-    phi(x) <= ||A + lambda B|| for every unit x and every lambda, and the
-    distance search returns a norm evaluated at an actual lambda, so when
-    that value lies below the threshold no eps-witness can exist and no
-    search is run.  Such a WitnessFailure reports as best_x the unit vector
-    of largest phi in the pencil's top singular band at that lambda, and
-    best_value = phi(best_x).  By the strong side of the identity (some band
-    vector x has <(A + lambda B)x, Bx> = 0, hence phi(x) = ||A + lambda B||)
-    this is the supremum of phi to the accuracy of the distance search.
-    Otherwise (orthogonal or nearly orthogonal pairs) that same band vector
-    is returned as the Witness when its phi clears the threshold.  Only when
-    it does not (the distance search missed the true minimizer, e.g. at a
-    kink) does a multistart sphere search run, and its failure reports the
-    best value it reached.
+    Success certifies orthogonality up to eps.  The distance solver returns,
+    with inf over lambda of ||A + lambda B||, a certificate vector x whose
+    phi(x) is its lower bound.  By the minimax identity sup_x phi(x) equals
+    that infimum, so on a converged solve phi(x) is the supremum of phi to
+    the solver's tolerance: x is the Witness when phi(x) clears the
+    threshold, and otherwise a WitnessFailure reports best_x = x and
+    best_value = phi(x).  No search is run.
     """
     _check_pair(a, b, square=True)
     sigma_a = operator_norm(a)
@@ -295,24 +195,10 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float, *, restarts: int = 32,
     threshold = sigma_a - eps
 
     dist = global_inf_lambda(a, b)
-    value, best_x = _band_sup_inf(a, b, dist.lambda_star)
-    if dist.value <= threshold * (1.0 - 1e-12):   # slack covers the norm's rounding
-        return WitnessFailure(best_value=value, threshold=threshold,
-                              best_x=Vector(a.field, best_x))
-    if value > threshold:
-        return Witness.from_vector(a, b, best_x)
-
-    # the objective is capped at ||a||^2, so a start within machine precision
-    # of the cap ends the search; the threshold itself is NOT an early-out,
-    # otherwise loose eps would return needlessly sloppy witnesses
-    stop = -(sigma_a ** 2) * (1.0 - 1e-14)
-    best_phi, best_x, _ = _max_inner_inf(a, b, restarts=restarts, seed=seed,
-                                         max_iter=max_iter, stop_below=stop)
-    value = math.sqrt(max(best_phi, 0.0))
-    if value > threshold:
-        return Witness.from_vector(a, b, best_x)
-    return WitnessFailure(best_value=value, threshold=threshold,
-                          best_x=Vector(a.field, best_x))
+    if dist.lower_bound > threshold:
+        return Witness.from_vector(a, b, dist.certificate.data)
+    return WitnessFailure(best_value=dist.lower_bound, threshold=threshold,
+                          best_x=dist.certificate)
 
 
 def _saddle_starts(a: Matrix, b: Matrix, lam) -> list:
@@ -326,90 +212,6 @@ def _saddle_starts(a: Matrix, b: Matrix, lam) -> list:
     pencil = Matrix(a.field, a.data + lam * b.data)
     sd = top_singular_subspace(pencil, rank_tol=1e-4)
     return [vec.data for vec in sd.top_subspace]
-
-
-def _band_sup_inf(a: Matrix, b: Matrix, lam):
-    """Largest phi(x) = inf over mu of ||(A + mu B)x|| over the pencil's top
-    band at lam, with its vector: phi is evaluated on the band basis and,
-    when the band is wider than one vector, on the band vector that zeroes
-    <(A + lam B)x, Bx>, which is where phi reaches ||A + lam B|| at a kink."""
-    cands = _saddle_starts(a, b, lam)
-    if len(cands) >= 2:
-        basis = np.column_stack(cands)
-        comp = basis.conj().T @ (b.data.conj().T @ ((a.data + lam * b.data) @ basis))
-        cands.append(basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
-    fg = _neg_phi_fg(a.data, b.data)
-    return max(((math.sqrt(max(-fg(x)[0], 0.0)), x) for x in cands), key=lambda p: p[0])
-
-
-def _zero_form_vector(c: np.ndarray, complex_field: bool) -> np.ndarray:
-    """Unit y with <Cy, y> = 0 when zero lies in the numerical range of C.
-
-    Real field: the extreme eigenvectors of the symmetric part, mixed so
-    their values cancel.  Complex field: the range of a 2x2 matrix is an
-    affine image of the Bloch sphere, solved exactly by _bloch_zero.  For a
-    larger C, the minimal eigenvectors of Re(e^{i theta} C) over the scan
-    grid give boundary points of the range; a fan triangle of them holding
-    zero is collapsed in two exact 2x2 steps: first a vector on its edge
-    whose value is where the line from the third vertex through zero meets
-    that edge, then a zero on the span of that vector and the third one.
-    When zero is outside the range the result is only a nearby vector.
-    """
-    if c.shape[0] == 1:   # W(C) = {c}: every unit vector is the same point
-        return np.ones(1, dtype=c.dtype)
-    if not complex_field:
-        w, v = np.linalg.eigh(0.5 * (c + c.T))
-        if w[0] >= 0.0 or w[-1] <= 0.0:
-            return v[:, 0] if abs(w[0]) <= abs(w[-1]) else v[:, -1]
-        y = math.sqrt(w[-1]) * v[:, 0] + math.sqrt(-w[0]) * v[:, -1]
-        return y / np.linalg.norm(y)
-    if c.shape[0] == 2:
-        return _bloch_zero(c)
-
-    xs = np.linalg.eigh(_scan_stack(c)[1])[1][:, :, 0]
-    pts = np.einsum("ji,ik,jk->j", xs.conj(), c, xs)
-    # signed areas of (0, p0, pj), (0, pj, pj+1) and (0, pj+1, p0) over the fan j >= 1
-    d1 = (pts[0].conjugate() * pts[1:-1]).imag
-    d2 = (pts[1:-1].conjugate() * pts[2:]).imag
-    d3 = (pts[2:].conjugate() * pts[0]).imag
-    inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
-    area = np.where(inside, np.abs(d1 + d2 + d3), 0.0)
-    j = int(np.argmax(area))                    # the best-conditioned triangle
-    if area[j] <= 1e-12 * float(np.max(np.abs(pts))) ** 2:
-        return xs[int(np.argmin(np.abs(pts)))]
-    total = d1[j] + d2[j] + d3[j]
-    wa, wb = d2[j] / total, d3[j] / total       # barycentric weights of p0, pj
-    target = (wa * pts[0] + wb * pts[j + 1]) / (wa + wb)
-    q1 = np.linalg.qr(np.column_stack([xs[0], xs[j + 1]]))[0]
-    z = q1 @ _bloch_zero(q1.conj().T @ c @ q1 - target * np.eye(2))
-    q2 = np.linalg.qr(np.column_stack([z, xs[j + 2]]))[0]
-    return q2 @ _bloch_zero(q2.conj().T @ c @ q2)
-
-
-def _bloch_zero(m: np.ndarray) -> np.ndarray:
-    """Unit y in C^2 with <My, y> = 0, or the Bloch-sphere point nearest to it.
-
-    With y y* = (I + s . sigma) / 2 for a unit s in R^3 (sigma the Pauli
-    matrices), <My, y> = (tr M + sum_k s_k tr(M sigma_k)) / 2 is affine in s,
-    so <My, y> = 0 is two real linear equations: their minimum-norm solution
-    plus a null-space step reaches the unit sphere when zero is in the range.
-    """
-    c0 = 0.5 * (m[0, 0] + m[1, 1])
-    cv = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
-    r = np.array([cv.real, cv.imag])
-    # a nearly flat range (normal M) leaves one equation redundant up to
-    # rounding; the cut-off drops it instead of amplifying the rounding
-    s = np.linalg.lstsq(r, -np.array([c0.real, c0.imag]), rcond=1e-10)[0]
-    ns = float(np.linalg.norm(s))
-    if ns < 1.0:
-        s = s + math.sqrt(1.0 - ns * ns) * np.linalg.svd(r)[2][-1]
-    else:
-        s = s / ns
-    if s[2] > -0.5:
-        y = np.array([1.0 + s[2], s[0] + 1j * s[1]])
-    else:
-        y = np.array([s[0] - 1j * s[1], 1.0 - s[2]])
-    return y / np.linalg.norm(y)
 
 
 def _neg_phi_fg(aa: np.ndarray, ba: np.ndarray):

@@ -112,7 +112,6 @@ class SuiteConfig:
     seed: int = 0
     field: Field = Field.COMPLEX
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
-    minimax_restarts: int = 50
 
     def __post_init__(self):
         if not self.dims or any(d < 2 for d in self.dims):
@@ -127,7 +126,6 @@ class SuiteConfig:
             "seed": self.seed,
             "field": self.field.value,
             "tolerances": self.tolerances.to_json_dict(),
-            "minimax_restarts": self.minimax_restarts,
         }
 
 
@@ -142,8 +140,7 @@ def _minimax_trial(cfg: SuiteConfig, dim: int, trial: int):
     ts, a, b = _pair_for(cfg, dim, trial, "minimax")
     rec = {"suite": "minimax", "dim": dim, "trial": trial, "seed": ts}
     try:
-        rep = minimax_report(a, b, restarts=cfg.minimax_restarts, seed=ts,
-                             gap_tol=cfg.tolerances.gap_tol)
+        rep = minimax_report(a, b, gap_tol=cfg.tolerances.gap_tol)
     except Exception as exc:   # a failed trial must not sink the suite
         return rec | {"error": str(exc)}, (a, b, f"minimax raised: {exc}")
     rec |= {"lhs": rep.lhs_value, "rhs": rep.rhs_value, "gap": rep.gap,

@@ -1,16 +1,23 @@
 """Minimization of ||u + lambda*v|| and ||A + lambda*B|| over a scalar lambda.
 
 The vector problem has a closed form.  The matrix problem is convex in
-(Re lambda, Im lambda), so alternating line searches over a bounding box
-converge to the global infimum; the search also cycles a 45-degree rotated
-coordinate frame to avoid the classic coordinate-descent stall on
-non-smooth valleys.  Each line search is Brent's method (parabolic
+(Re lambda, Im lambda) and is solved by a primal-dual descent on its
+optimality condition (Bhatia and Semrl, Linear Algebra Appl. 287, 1999):
+lambda* minimizes ||A + lambda*B|| exactly when A + lambda*B is
+Birkhoff-James orthogonal to B, that is when zero lies in the numerical
+range W(C) of C = X*B*(A + lambda*B)X, with X spanning the top singular
+band of the pencil.  When zero lies outside, the separating half-plane
+gives a descent direction, searched by Brent's method (parabolic
 interpolation safeguarded by golden-section steps; Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 5): the pencil norm is smooth
-along almost every line, where the parabolic steps converge superlinearly,
-and at a kink the safeguard falls back to golden section.  The same line
-minimizer sharpens the separating angle of the numerical-range test in
-`decision`.
+Minimization without Derivatives, 1973, ch. 5).  When zero lies inside, the
+band vector x with <(A + lambda*B)x, Bx> = 0 gives the evaluated lower bound
+phi(x) = inf over mu of ||(A + mu*B)x||, which never exceeds the infimum.
+The band holds every singular value within a relative width of the top
+one; the width starts at 1e-4, so near a kink the direction accounts for
+the singular values about to tie, and narrows tenfold whenever it stops
+paying.  The search ends when the value and the
+lower bound meet.  The same line minimizer sharpens the separating angle of
+the numerical-range test.
 """
 
 from __future__ import annotations
@@ -21,12 +28,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, InputError, Matrix, Vector, inner, _check_pair, _sigma_max_sq
+from .core import (Field, InputError, Matrix, Vector, inner, _check_pair,
+                   _sigma_max_sq, _top_band)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
 DEFAULT_TOL = 1e-7
 DEFAULT_BUDGET = 100_000
-MAX_FRAMES = 64   # coordinate-frame sweeps before global_inf_lambda gives up
+NR_GRID = 720   # coarse angles scanned before local refinement
+# Width of the refined angle bracket.  Where the range point nearest zero
+# lies inside a flat edge, m(theta) has a kink at its maximum and an angle
+# error delta costs |delta| times the edge's half-length, which a 1e-8
+# bracket makes comparable to tol.
+_NR_XTOL = 1e-10
+# Cap on refinement evaluations, far above the 12 to 33 taken on random and
+# flat-edge ranges.
+_NR_MAX_EVALS = 200
+_BAND_START = 1e-4   # relative width of the first singular band, as in _saddle_starts
+_BAND_FLOOR = 1e-15  # narrower bands hold only exact ties, so the descent stops
 
 
 @dataclass(frozen=True)
@@ -38,41 +56,57 @@ class LineMinResult:
     lambda_star : float or complex
         Scalar achieving it (float for the real field).
     evaluations : int
-        Number of objective evaluations spent.
+        Objective evaluations and singular-band decompositions spent.
+    lower_bound : float
+        An evaluated lower bound on the infimum: phi at `certificate`, or
+        the closed-form value itself for the vector problem.
+    certificate : Vector or None
+        Unit x with phi(x) = inf over mu of ||(A + mu*B)x|| = lower_bound
+        (matrix problem only).
     budget_limited : bool
         True when the evaluation cap was hit before the tolerance.
     stop_reason : str
-        Why the search ended: "converged" (closed form, or the value stopped
-        improving), "budget" (evaluation cap) or "frame_cap" (MAX_FRAMES
-        sweeps ran while the value was still improving).
+        Why the search ended: "converged" (closed form, or value minus
+        lower_bound within the tolerance), "budget" (evaluation cap) or
+        "stagnant" (no descent left at the narrowest band, gap still open).
     """
 
     value: float
     lambda_star: object
     evaluations: int
+    lower_bound: float
+    certificate: Vector | None = None
     budget_limited: bool = False
     stop_reason: str = "converged"
+
+
+@dataclass(frozen=True)
+class SeparationCertificate:
+    """Record of the best separating half-plane found for the numerical range.
+
+    theta is the rotation angle, support the minimum of the rotated real part
+    over the unit sphere.  support > tol certifies that zero lies outside.
+    """
+
+    theta: float
+    support: float
+    tol: float
 
 
 def inner_inf(u: Vector, v: Vector, field=None) -> LineMinResult:
     """Closed-form inf over lambda of ||u + lambda*v||.
 
-    With c = <u, v> and v != 0 the minimizer is lambda* = -c / ||v||^2 and the
-    squared value is ||u||^2 - |c|^2 / ||v||^2 (clamped at zero against
-    rounding).  For v = 0 every lambda ties, so (||u||, 0) is returned.
+    With c = <u, v> and v != 0 the minimizer is lambda* = -c / ||v||^2, and
+    the value is evaluated as the residual norm ||u + lambda* v||, which keeps
+    its accuracy relative to ||u|| when u and v are nearly parallel.  For
+    v = 0 every lambda ties, so (||u||, 0) is returned.
     """
     fld = _check_pair(u, v, field=field)
-    uu = float(np.vdot(u.data, u.data).real)
     vv = float(np.vdot(v.data, v.data).real)
-    if vv == 0.0:
-        lam = 0.0 if fld is Field.REAL else complex(0.0)
-        return LineMinResult(math.sqrt(uu), lam, 0)
-    c = inner(u, v)
-    val = math.sqrt(max(uu - abs(c) ** 2 / vv, 0.0))
-    lam = -c / vv
-    if fld is Field.REAL:
-        lam = float(lam)
-    return LineMinResult(val, lam, 0)
+    lam = -inner(u, v) / vv if vv != 0.0 else 0.0
+    lam = float(lam) if fld is Field.REAL else complex(lam)
+    val = float(np.linalg.norm(u.data + lam * v.data))
+    return LineMinResult(val, lam, 0, val)
 
 
 class _Budget:
@@ -157,6 +191,144 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget):
     return x, fx, False
 
 
+def zero_in_numerical_range(c: Matrix, tol: float | None = None):
+    """Test whether zero lies in the numerical range {<Cy, y> : ||y|| = 1}.
+
+    Over the real field the range is the real interval [lambda_min,
+    lambda_max] of the symmetric part, checked directly.  Over the complex
+    field a 1x1 compression has the single point W(C) = {c}: zero lies
+    inside iff |c| <= tol, and the half-plane at theta = -arg(c) has support
+    |c|.  Larger compressions scan m(theta) = lambda_min(Re(e^{i theta} C))
+    over a 720-point grid in one stacked eigenvalue call, then sharpen the
+    best angle by minimizing -m with the distance search's line minimizer
+    (Brent's method) to a bracket of 1e-10; a value above tol is a
+    separating half-plane, so zero is outside.
+
+    Returns (contains_zero, SeparationCertificate).
+    """
+    if not c.is_square():
+        raise InputError(f"square matrix required, got {c.shape}")
+    if tol is None:
+        tol = 1e-9 * float(np.linalg.norm(c.data))
+    ca = c.data
+    if c.field is Field.REAL:
+        sym = 0.5 * (ca + ca.T)
+        w = np.linalg.eigvalsh(sym)
+        lo, hi = float(w[0]), float(w[-1])
+        if lo > tol:
+            return False, SeparationCertificate(0.0, lo, tol)
+        if hi < -tol:
+            return False, SeparationCertificate(math.pi, -hi, tol)
+        if lo >= -hi:
+            return True, SeparationCertificate(0.0, lo, tol)
+        return True, SeparationCertificate(math.pi, -hi, tol)
+
+    if c.rows == 1:
+        z = complex(ca[0, 0])
+        support = abs(z)
+        theta = -cmath.phase(z) % (2.0 * math.pi)
+        return support <= tol, SeparationCertificate(theta, support, tol)
+
+    h1 = 0.5 * (ca + ca.conj().T)
+    h2 = (ca - ca.conj().T) / 2j
+
+    def m(theta: float) -> float:
+        w = np.linalg.eigvalsh(math.cos(theta) * h1 - math.sin(theta) * h2)
+        return float(w[0])
+
+    step = 2.0 * math.pi / NR_GRID
+    grid, stack = _scan_stack(ca)
+    mins = np.linalg.eigvalsh(stack)[:, 0]
+    j = int(np.argmax(mins))
+    best_theta, best_m = float(grid[j]), float(mins[j])
+
+    theta, neg_m, _ = _brent_line(lambda t: -m(t), best_theta - step, best_theta + step,
+                                  _NR_XTOL, _Budget(_NR_MAX_EVALS))
+    if -neg_m > best_m:
+        best_theta, best_m = theta, -neg_m
+
+    best_theta = best_theta % (2.0 * math.pi)
+    cert = SeparationCertificate(best_theta, best_m, tol)
+    return best_m <= tol, cert
+
+
+def _scan_stack(ca: np.ndarray):
+    """The scan angles and Re(e^{i theta} C) at each of them, stacked."""
+    grid = np.arange(NR_GRID) * (2.0 * math.pi / NR_GRID)
+    rot = np.exp(1j * grid)[:, None, None] * ca
+    return grid, 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
+
+
+def _zero_form_vector(c: np.ndarray, complex_field: bool) -> np.ndarray:
+    """Unit y with <Cy, y> = 0 when zero lies in the numerical range of C.
+
+    Real field: the extreme eigenvectors of the symmetric part, mixed so
+    their values cancel.  Complex field: the range of a 2x2 matrix is an
+    affine image of the Bloch sphere, solved exactly by _bloch_zero.  For a
+    larger C, the minimal eigenvectors of Re(e^{i theta} C) over the scan
+    grid give boundary points of the range; a fan triangle of them holding
+    zero is collapsed in two exact 2x2 steps: first a vector on its edge
+    whose value is where the line from the third vertex through zero meets
+    that edge, then a zero on the span of that vector and the third one.
+    When zero is outside the range the result is only a nearby vector.
+    """
+    if c.shape[0] == 1:   # W(C) = {c}: every unit vector is the same point
+        return np.ones(1, dtype=c.dtype)
+    if not complex_field:
+        w, v = np.linalg.eigh(0.5 * (c + c.T))
+        if w[0] >= 0.0 or w[-1] <= 0.0:
+            return v[:, 0] if abs(w[0]) <= abs(w[-1]) else v[:, -1]
+        y = math.sqrt(w[-1]) * v[:, 0] + math.sqrt(-w[0]) * v[:, -1]
+        return y / np.linalg.norm(y)
+    if c.shape[0] == 2:
+        return _bloch_zero(c)
+
+    xs = np.linalg.eigh(_scan_stack(c)[1])[1][:, :, 0]
+    pts = np.einsum("ji,ik,jk->j", xs.conj(), c, xs)
+    # signed areas of (0, p0, pj), (0, pj, pj+1) and (0, pj+1, p0) over the fan j >= 1
+    d1 = (pts[0].conjugate() * pts[1:-1]).imag
+    d2 = (pts[1:-1].conjugate() * pts[2:]).imag
+    d3 = (pts[2:].conjugate() * pts[0]).imag
+    inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
+    area = np.where(inside, np.abs(d1 + d2 + d3), 0.0)
+    j = int(np.argmax(area))                    # the best-conditioned triangle
+    if area[j] <= 1e-12 * float(np.max(np.abs(pts))) ** 2:
+        return xs[int(np.argmin(np.abs(pts)))]
+    total = d1[j] + d2[j] + d3[j]
+    wa, wb = d2[j] / total, d3[j] / total       # barycentric weights of p0, pj
+    target = (wa * pts[0] + wb * pts[j + 1]) / (wa + wb)
+    q1 = np.linalg.qr(np.column_stack([xs[0], xs[j + 1]]))[0]
+    z = q1 @ _bloch_zero(q1.conj().T @ c @ q1 - target * np.eye(2))
+    q2 = np.linalg.qr(np.column_stack([z, xs[j + 2]]))[0]
+    return q2 @ _bloch_zero(q2.conj().T @ c @ q2)
+
+
+def _bloch_zero(m: np.ndarray) -> np.ndarray:
+    """Unit y in C^2 with <My, y> = 0, or the Bloch-sphere point nearest to it.
+
+    With y y* = (I + s . sigma) / 2 for a unit s in R^3 (sigma the Pauli
+    matrices), <My, y> = (tr M + sum_k s_k tr(M sigma_k)) / 2 is affine in s,
+    so <My, y> = 0 is two real linear equations: their minimum-norm solution
+    plus a null-space step reaches the unit sphere when zero is in the range.
+    """
+    c0 = 0.5 * (m[0, 0] + m[1, 1])
+    cv = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
+    r = np.array([cv.real, cv.imag])
+    # a nearly flat range (normal M) leaves one equation redundant up to
+    # rounding; the cut-off drops it instead of amplifying the rounding
+    s = np.linalg.lstsq(r, -np.array([c0.real, c0.imag]), rcond=1e-10)[0]
+    ns = float(np.linalg.norm(s))
+    if ns < 1.0:
+        s = s + math.sqrt(1.0 - ns * ns) * np.linalg.svd(r)[2][-1]
+    else:
+        s = s / ns
+    if s[2] > -0.5:
+        y = np.array([1.0 + s[2], s[0] + 1j * s[1]])
+    else:
+        y = np.array([s[0] - 1j * s[1], 1.0 - s[2]])
+    return y / np.linalg.norm(y)
+
+
 def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
                       budget: int = DEFAULT_BUDGET) -> LineMinResult:
     """Global infimum over scalar lambda of the spectral norm of a + lambda*b.
@@ -168,28 +340,38 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     tol : float
         Absolute tolerance on the value.
     budget : int
-        Cap on spectral-norm evaluations; when exhausted the best value so
-        far is returned with budget_limited set instead of raising.
+        Cap on spectral-norm evaluations and band decompositions; when
+        exhausted the best value so far is returned with budget_limited set
+        instead of raising.
 
-    The search also stops after MAX_FRAMES coordinate-frame sweeps; the
-    result's stop_reason says which of the three ends was reached.
-
-    The minimizer lies in the disk |lambda| <= 2||a||/||b||, which bounds the
-    search box.  lambda = 0 is always evaluated, so the result never exceeds
-    ||a||.
+    Each step takes the top singular band X of P = a + lambda*b and tests
+    whether zero lies in the numerical range of C = X*b*P X (see the module
+    docstring).  Outside, a line search runs along d = -e^{-i theta} (+-1
+    over the reals) for the separating angle theta, on [0, 2 * radius],
+    where radius = 2||a||/||b|| bounds the minimizer.  Inside, phi at the
+    band vector x = X y with <Cy, y> = 0 raises the lower bound.  The band
+    narrows tenfold when it holds zero but the gap is open, or when a line
+    search brings no descent.  The search stops once value - lower_bound is
+    at most min(tol/||a||, 1e-9)/10 relative to ||a||; stop_reason says
+    whether that, the budget, or the band floor ended it.  lambda = 0 is
+    the start, so the result never exceeds ||a||.
     """
     fld = _check_pair(a, b)
     if tol <= 0.0:
         raise InputError("tol must be positive")
+    complex_field = fld is Field.COMPLEX
 
     meter = _Budget(budget)
     meter.spend()
     norm_a = math.sqrt(_sigma_max_sq(a.data))
     meter.spend()
     norm_b = math.sqrt(_sigma_max_sq(b.data))
-    lam0 = 0.0 if fld is Field.REAL else complex(0.0)
-    if norm_b == 0.0 or norm_a == 0.0:
-        return LineMinResult(norm_a, lam0, meter.used)
+    lam0 = complex(0.0) if complex_field else 0.0
+    if norm_a == 0.0 or norm_b == 0.0:
+        # phi(x) = ||a x|| on the top vector of a, which is ||a||; for a = 0
+        # every phi vanishes, and that top vector is the first basis vector
+        x = _top_band(a.data, _BAND_FLOOR)[1][:, 0]
+        return _result(a, b, norm_a, lam0, meter, x, "converged")
 
     # Work on A/||A||, B/||A||: the search trajectory then depends only on
     # the scale-free shape of the pencil, so (cA, cB) retraces the steps of
@@ -197,62 +379,59 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     unit = norm_a
     aa = a.data / unit
     ba = b.data / unit
+    bh = ba.conj().T
     norm_bn = norm_b / unit
-    tol_n = tol / unit
     radius = 2.0 / norm_bn
-    xtol = max(min(tol_n, 1e-9) / norm_bn, 1e-15 * radius)
-    stop_gain = min(tol_n, 1e-9) / 10.0
+    stop = min(tol / unit, 1e-9) / 10.0
+    xtol = max(stop / norm_bn, 1e-15 * radius)
 
     def f(lam: complex) -> float:
-        arg = lam if fld is Field.COMPLEX else lam.real
-        return math.sqrt(_sigma_max_sq(aa + arg * ba))
+        return math.sqrt(_sigma_max_sq(aa + (lam if complex_field else lam.real) * ba))
 
-    best_val = 1.0   # the lambda = 0 objective in normalized units, exactly
-    best_lam = 0.0 + 0.0j
-
-    def eval_at(lam: complex) -> float:
-        nonlocal best_val, best_lam
-        val = f(lam)
-        if val < best_val:
-            best_val, best_lam = val, lam
-        return val
-
-    if fld is Field.REAL:
-        frames = [[1.0 + 0.0j]]
-    else:
-        s = 1.0 / math.sqrt(2.0)
-        frames = [[1.0 + 0.0j, 0.0 + 1.0j], [complex(s, s), complex(s, -s)]]
-    span = radius * math.sqrt(2.0)
-
-    exhausted = False
-    stagnant = 0
-    need_stagnant = 1 if len(frames) == 1 else 2
-    stop_reason = "frame_cap"
-    for i in range(MAX_FRAMES):
-        val_before = best_val
-        for d in frames[i % len(frames)]:
-            center = best_lam
-
-            def g(t: float) -> float:
-                return eval_at(center + t * d)
-
-            _, _, exhausted = _brent_line(g, -span, span, xtol, meter)
+    lam, val = 0j, 1.0   # the lambda = 0 objective in normalized units, exactly
+    lower, cert = -1.0, None
+    band = _BAND_START
+    stop_reason = "budget"
+    while meter.spend() or cert is None:   # the first band always runs
+        p = aa + (lam if complex_field else lam.real) * ba
+        x = _top_band(p, band)[1]
+        c = x.conj().T @ (bh @ (p @ x))
+        contains, sep = zero_in_numerical_range(Matrix(fld, c), band * norm_bn)
+        moved = False
+        if contains or cert is None:
+            y = x @ _zero_form_vector(c, complex_field)
+            phi = inner_inf(Vector(fld, aa @ y), Vector(fld, ba @ y)).value
+            if phi > lower:
+                lower, cert = phi, y
+            if val - lower <= stop:
+                stop_reason = "converged"
+                break
+        if not contains:
+            d = -cmath.exp(-1j * sep.theta)
+            center = lam
+            t, ft, exhausted = _brent_line(lambda t: f(center + t * d), 0.0, 2.0 * radius,
+                                           xtol, meter)
+            if ft < val:
+                lam, val, moved = center + t * d, ft, True
             if exhausted:
                 break
-        if exhausted:
-            stop_reason = "budget"
-            break
-        stagnant = stagnant + 1 if val_before - best_val < stop_gain else 0
-        if stagnant >= need_stagnant and i >= 1:
-            stop_reason = "converged"
-            break
+        if not moved:
+            band *= 0.1
+            if band < _BAND_FLOOR:
+                stop_reason = "stagnant"
+                break
 
-    value = best_val * unit
-    lam_out = best_lam
-    if value > norm_a:   # rounding from the rescale; lambda = 0 is feasible
-        value, lam_out = norm_a, 0.0 + 0.0j
-    lam_final = float(lam_out.real) if fld is Field.REAL else complex(lam_out)
-    return LineMinResult(value, lam_final, meter.used, exhausted, stop_reason)
+    lam_out = complex(lam) if complex_field else float(lam.real)
+    return _result(a, b, val * unit, lam_out, meter, cert, stop_reason)
+
+
+def _result(a: Matrix, b: Matrix, value: float, lam, meter: _Budget, x: np.ndarray,
+            stop_reason: str) -> LineMinResult:
+    """LineMinResult whose lower bound is phi recomputed at x on (a, b)."""
+    cert = Vector(a.field, x)
+    lower = inner_inf(Vector(a.field, a.data @ x), Vector(a.field, b.data @ x)).value
+    return LineMinResult(value, lam, meter.used, lower, cert,
+                         stop_reason == "budget", stop_reason)
 
 
 def limit_lemma_check(scalar, b: float, samples: int = 16) -> bool:

@@ -116,6 +116,36 @@ def pencil_grid_min_eigh(a: np.ndarray, b: np.ndarray, radius: float,
     return float(sig[k]), float(ts[k])
 
 
+def min_enclosing_circle_radius(points) -> float:
+    """Radius of the smallest disk holding the complex points, by brute force.
+
+    The smallest disk is fixed by two points (a diameter) or three (a
+    circumcircle); this returns the smallest such candidate that holds
+    every point, with a 1e-12 relative slack for rounding.
+    """
+    pts = [complex(p) for p in points]
+    if len(pts) == 1:
+        return 0.0
+    scale = max(abs(p) for p in pts)
+    cands = []
+    for i, p in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            q = pts[j]
+            cands.append(((p + q) / 2, abs(p - q) / 2))
+            for s in pts[j + 1:]:
+                # circumcenter: |c - p| = |c - q| = |c - s| solved as two linear equations
+                m = np.array([[2 * (q - p).real, 2 * (q - p).imag],
+                              [2 * (s - p).real, 2 * (s - p).imag]])
+                if abs(np.linalg.det(m)) <= 1e-12 * max(scale, 1e-300) ** 2:
+                    continue
+                rhs = [abs(q) ** 2 - abs(p) ** 2, abs(s) ** 2 - abs(p) ** 2]
+                cx, cy = np.linalg.solve(m, rhs)
+                c = complex(cx, cy)
+                cands.append((c, abs(c - p)))
+    return min(r for c, r in cands
+               if all(abs(p - c) <= r + 1e-12 * scale for p in pts))
+
+
 def zero_in_hull(points: np.ndarray) -> bool:
     """0 in conv(points) for complex points, by LP feasibility."""
     pts = np.asarray(points, dtype=complex)

@@ -165,7 +165,7 @@ def test_criterion_4_epsilon_ladder(announce):
                 k += 1
                 good = True
                 for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-                    out = epsilon_witness(a, b, eps, seed=k)
+                    out = epsilon_witness(a, b, eps)
                     good = good and isinstance(out, Witness) and out.ip_residual <= eps
                 pairs_ok += good
     ok = pairs_ok == 20

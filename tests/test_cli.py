@@ -49,6 +49,7 @@ def test_distance(tmp_path, capsys):
     assert doc["lambda"][1] == pytest.approx(0.0, abs=1e-6)
     assert doc["budget_limited"] is False
     assert doc["stop_reason"] == "converged"
+    assert doc["value"] - 1e-9 <= doc["lower_bound"] <= doc["value"]
 
 
 def test_distance_budget_exhaustion(tmp_path, capsys):

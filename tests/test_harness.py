@@ -151,8 +151,7 @@ def test_suite_minimax_record_replays_bitwise():
     rec = next(r for r in report["records"] if r["suite"] == "minimax")
     a = gen_ginibre(rec["dim"], rec["seed"], SMOKE.field)
     b = gen_ginibre(rec["dim"], (rec["seed"] + 1) & (2 ** 64 - 1), SMOKE.field)
-    rep = minimax_report(a, b, restarts=SMOKE.minimax_restarts, seed=rec["seed"],
-                         gap_tol=SMOKE.tolerances.gap_tol)
+    rep = minimax_report(a, b, gap_tol=SMOKE.tolerances.gap_tol)
     assert rep.lhs_value == rec["lhs"]
     assert rep.rhs_value == rec["rhs"]
     assert rep.gap == rec["gap"]

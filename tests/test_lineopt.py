@@ -275,15 +275,11 @@ def test_global_inf_budget_flag():
     assert full.value - 1e-12 <= tight.value <= operator_norm(a) + 1e-12
 
 
-def test_global_inf_stop_reasons(monkeypatch):
+def test_global_inf_stop_reasons():
     a = cmat(_oracles.seeded(4, 95))
     b = cmat(_oracles.seeded(4, 96))
     assert global_inf_lambda(a, b).stop_reason == "converged"
     assert global_inf_lambda(a, b, budget=8).stop_reason == "budget"
-    monkeypatch.setattr(lineopt_module, "MAX_FRAMES", 1)
-    capped = global_inf_lambda(a, b)
-    assert capped.stop_reason == "frame_cap"
-    assert not capped.budget_limited
     assert inner_inf(cvec([1.0, 0.0]), cvec([1.0, 1.0])).stop_reason == "converged"
 
 
@@ -317,6 +313,69 @@ def test_global_inf_hermitian_kink_oracle(complex_field, scale):
         res = global_inf_lambda(Matrix(fld, 0.5 * (a + a.conj().T)),
                                 Matrix(fld, np.eye(n)), tol=tol)
         assert abs(res.value - 0.5 * (w.max() - w.min())) <= tol
+
+
+@pytest.mark.parametrize("theta_deg", [150, 160, 170])
+def test_global_inf_d1_kink_pencils(theta_deg):
+    # ||diag(1, e^{i theta}, 0.3) + lambda I|| is smallest at the midpoint of
+    # 1 and e^{i theta}, where both top singular values tie: a kink that the
+    # coordinate search stalled at, returning 1.0
+    theta = math.radians(theta_deg)
+    a = cmat(np.diag([1.0, np.exp(1j * theta), 0.3]))
+    res = global_inf_lambda(a, cmat(np.eye(3)))
+    assert res.stop_reason == "converged"
+    assert abs(res.value - math.cos(math.radians(180 - theta_deg) / 2)) <= 1e-7
+
+
+def test_global_inf_normal_pencils_match_enclosing_circle():
+    # for normal A = U diag(ev) U* and B = I, ||A + lambda I|| = max_k
+    # |ev_k + lambda|, so the infimum is the minimal enclosing circle radius
+    worst = 0.0
+    for k in range(200):
+        n = 2 + k % 5
+        u = _oracles.haar_unitary(n, 5000 + k)
+        ev = seeded_vec(n, 6000 + k)
+        a = (u * ev) @ u.conj().T
+        res = global_inf_lambda(cmat(a), cmat(np.eye(n)))
+        err = abs(res.value - _oracles.min_enclosing_circle_radius(ev))
+        worst = max(worst, err / max(1.0, np.linalg.norm(a, 2)))
+    assert worst <= 1e-7
+
+
+def _certificate_pairs(complex_field):
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    g = [_oracles.seeded(4, 110 + k, complex_field) for k in range(4)]
+    rank_def = g[0][:, :2] @ g[1][:2, :]
+    wide = np.hstack([g[2], g[3]])[:3]
+    return [(Matrix(fld, x), Matrix(fld, y)) for x, y in (
+        (g[0], g[1]),                                      # Ginibre
+        (rank_def, g[2]),                                  # rank 2 of 4
+        (g[2], rank_def),
+        (np.zeros((4, 4)), g[3]),                          # zero A
+        (g[3], np.zeros((4, 4))),                          # zero B
+        (g[0][:1, :1], g[1][:1, :1]),                      # 1 x 1
+        (wide, wide[::-1]),                                # 3 x 8
+        (wide.T, np.vstack([g[1], g[2]])[:, :3]),          # 8 x 3
+    )]
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_global_inf_certificate(complex_field, scale):
+    tol = 1e-7 * scale
+    for a, b in _certificate_pairs(complex_field):
+        base = global_inf_lambda(a, b)
+        sa = Matrix(a.field, scale * a.data)
+        sb = Matrix(b.field, scale * b.data)
+        res = global_inf_lambda(sa, sb, tol=tol)
+        assert res.lower_bound <= res.value + 1e-12 * scale
+        assert res.stop_reason == "converged"
+        assert res.value - res.lower_bound <= tol
+        x = res.certificate.data
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        phi = inner_inf(Vector(a.field, sa.data @ x), Vector(a.field, sb.data @ x)).value
+        assert phi == pytest.approx(res.lower_bound, rel=1e-12, abs=1e-300)
+        assert res.value == pytest.approx(scale * base.value, rel=1e-9, abs=tol)
 
 
 def test_pencil_norm_is_midpoint_convex():
