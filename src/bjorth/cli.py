@@ -18,7 +18,7 @@ from .core import ConvergenceError, Field, InputError, Matrix, operator_norm
 from .decision import (Status, Verdict, Witness, WitnessFailure, decide,
                        epsilon_witness, find_witness)
 from .harness import (SCHEMA_VERSION, SuiteConfig, Tolerances, gen_ginibre,
-                      gen_orthogonal_pair, run_suite, save_csv, save_report)
+                      gen_orthogonal_pair, run_suite, save_csv)
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
 from .minimax import minimax_report
 
@@ -47,10 +47,11 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(args, obj: dict) -> None:
+def _emit(path: str | None, obj: dict) -> None:
+    """Write obj as indented, key-sorted JSON to the file path, or to stdout."""
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -80,8 +81,8 @@ def _witness_json(w: Witness) -> dict:
 def _cmd_norm(args) -> int:
     a = _load_matrix(args.a)
     val = operator_norm(a)
-    _emit(args, {"schema_version": SCHEMA_VERSION, "op_norm": val,
-                 "rows": a.rows, "cols": a.cols, "field": a.field.value})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, "op_norm": val,
+                     "rows": a.rows, "cols": a.cols, "field": a.field.value})
     _say(args, f"op_norm = {val:.12g}")
     return 0
 
@@ -90,12 +91,12 @@ def _cmd_distance(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     res = global_inf_lambda(a, b, tol=args.tol, budget=args.budget)
-    _emit(args, {"schema_version": SCHEMA_VERSION, "value": res.value,
-                 "lambda": _lam_pair(res.lambda_star),
-                 "lower_bound": res.lower_bound,
-                 "evaluations": res.evaluations,
-                 "budget_limited": res.budget_limited,
-                 "stop_reason": res.stop_reason})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, "value": res.value,
+                     "lambda": _lam_pair(res.lambda_star),
+                     "lower_bound": res.lower_bound,
+                     "evaluations": res.evaluations,
+                     "budget_limited": res.budget_limited,
+                     "stop_reason": res.stop_reason})
     _say(args, f"min over lambda = {res.value:.12g} at lambda = {_lam_pair(res.lambda_star)}")
     return 3 if res.budget_limited else 0
 
@@ -105,11 +106,11 @@ def _cmd_check(args) -> int:
     b = _load_matrix(args.b)
     rep = decide(a, b, method=args.method, tol=args.tol)
     v = rep.verdict
-    _emit(args, {"schema_version": SCHEMA_VERSION, "status": v.status.value,
-                 "margin": v.margin, "method": v.method.value, "tol": v.tol,
-                 "certificate": _cert_json(v.certificate),
-                 "witness": _witness_json(rep.witness) if rep.witness else None,
-                 "witness_error": rep.witness_error})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": v.status.value,
+                     "margin": v.margin, "method": v.method.value, "tol": v.tol,
+                     "certificate": _cert_json(v.certificate),
+                     "witness": _witness_json(rep.witness) if rep.witness else None,
+                     "witness_error": rep.witness_error})
     _say(args, f"{v.status.value}" + (f" (margin = {v.margin:.6g})"
                                       if v.margin is not None else ""))
     return _EXIT_BY_STATUS[v.status]
@@ -121,25 +122,25 @@ def _cmd_witness(args) -> int:
     if args.eps is not None:
         out = epsilon_witness(a, b, args.eps)
         if isinstance(out, Witness):
-            _emit(args, {"schema_version": SCHEMA_VERSION,
-                         "status": "ORTHOGONAL", **_witness_json(out)})
+            _emit(args.out, {"schema_version": SCHEMA_VERSION,
+                             "status": "ORTHOGONAL", **_witness_json(out)})
             _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
             return 0
-        _emit(args, {"schema_version": SCHEMA_VERSION, "failed": True,
-                     "best_value": out.best_value, "threshold": out.threshold,
-                     "x": out.best_x.to_pairs()})
+        _emit(args.out, {"schema_version": SCHEMA_VERSION, "failed": True,
+                         "best_value": out.best_value, "threshold": out.threshold,
+                         "x": out.best_x.to_pairs()})
         _say(args, f"no witness: best value {out.best_value:.6g} "
                    f"below threshold {out.threshold:.6g}")
         return 1
     out = find_witness(a, b)
     if isinstance(out, Witness):
-        _emit(args, {"schema_version": SCHEMA_VERSION,
-                     "status": "ORTHOGONAL", **_witness_json(out)})
+        _emit(args.out, {"schema_version": SCHEMA_VERSION,
+                         "status": "ORTHOGONAL", **_witness_json(out)})
         _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
         return 0
-    _emit(args, {"schema_version": SCHEMA_VERSION, "status": out.status.value,
-                 "margin": out.margin, "method": out.method.value,
-                 "tol": out.tol, "certificate": _cert_json(out.certificate)})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": out.status.value,
+                     "margin": out.margin, "method": out.method.value,
+                     "tol": out.tol, "certificate": _cert_json(out.certificate)})
     _say(args, "no witness exists: pair is not orthogonal")
     return 1
 
@@ -148,7 +149,7 @@ def _cmd_minimax(args) -> int:
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     rep = minimax_report(a, b, tol=args.tol)
-    _emit(args, {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()})
     _say(args, f"lhs = {rep.lhs_value:.12g}, rhs = {rep.rhs_value:.12g}, "
                f"gap = {rep.gap:.3e}")
     return 3 if (rep.restart_starved or rep.budget_limited) else 0
@@ -195,10 +196,7 @@ def _suite_config(args) -> SuiteConfig:
 def _cmd_suite(args) -> int:
     cfg = _suite_config(args)
     report = run_suite(cfg)
-    if args.out:
-        save_report(report, args.out)
-    else:
-        _emit(args, report)
+    _emit(args.out, report)
     if args.csv:
         save_csv(report, args.csv)
     nfail = len(report["failures"])
@@ -213,32 +211,23 @@ def _matrix_doc(m: Matrix) -> dict:
     return {"schema_version": SCHEMA_VERSION, **m.to_json_dict()}
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     field = Field.parse(args.field)
     if args.kind == "ginibre":
-        m = gen_ginibre(args.n, seed, field)
+        _emit(args.out, _matrix_doc(gen_ginibre(args.n, seed, field)))
         if args.out:
-            _write_json(args.out, _matrix_doc(m))
             _say(args, f"wrote {args.out}")
-        else:
-            print(json.dumps(_matrix_doc(m), indent=2, sort_keys=True))
         return 0
     a, b = gen_orthogonal_pair(args.n, seed, field)
     if args.out:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
-        _write_json(base + ".A.json", _matrix_doc(a))
-        _write_json(base + ".B.json", _matrix_doc(b))
+        _emit(base + ".A.json", _matrix_doc(a))
+        _emit(base + ".B.json", _matrix_doc(b))
         _say(args, f"wrote {base}.A.json and {base}.B.json")
     else:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "a": a.to_json_dict(), "b": b.to_json_dict()},
-                         indent=2, sort_keys=True))
+        _emit(None, {"schema_version": SCHEMA_VERSION,
+                     "a": a.to_json_dict(), "b": b.to_json_dict()})
     return 0
 
 

@@ -162,17 +162,15 @@ class Vector:
         return [[float(np.real(z)), float(np.imag(z))] for z in self.data]
 
 
-def _check_pair(a, b, *, square: bool = False, field=None) -> Field:
+def _check_pair(a, b, *, square: bool = False) -> Field:
     """Validate two operands of one pair and return their common field.
 
     The operands are two Matrix or two Vector objects.  They must carry the
-    same field tag, agree with the explicit `field` when one is given, and
-    have equal shapes; with square=True the matrices must also be square.
+    same field tag and have equal shapes; with square=True the matrices must
+    also be square.
     """
     if a.field is not b.field:
         raise InputError("operands carry different field tags")
-    if field is not None and Field.parse(getattr(field, "value", field)) is not a.field:
-        raise InputError("explicit field tag disagrees with the operands")
     if isinstance(a, Vector):
         if a.dim != b.dim:
             raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")

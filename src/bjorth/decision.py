@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._sphere import multistart_minimize
+from ._sphere import multistart_minimize  # noqa: F401  (bench/spans.py traces it here)
 from .core import (ConvergenceError, Field, InputError, Matrix, Vector, inner,
                    operator_norm, top_singular_subspace, _check_pair)
 from .lineopt import (SeparationCertificate, _zero_form_vector, global_inf_lambda,
                       inner_inf, zero_in_numerical_range)
 
 log = logging.getLogger("bjorth")
+
+# zero counts as inside the compression's numerical range within this share
+# of ||A|| * ||B||
+_NR_REL_TOL = 1e-9
 
 
 class Status(enum.Enum):
@@ -132,15 +135,15 @@ def _compression(a: Matrix, b: Matrix, basis: list) -> np.ndarray:
     return m.conj().T @ (b.data.conj().T @ (a.data @ m))
 
 
-def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
-                 eps: float | None = None, nr_tol: float | None = None):
+def find_witness(a: Matrix, b: Matrix):
     """Exact-witness route: search the top singular subspace of a.
 
     Either returns a Witness (orthogonal, certificate vector included) or a
     NOT_ORTHOGONAL Verdict whose certificate is the separating half-plane of
-    the compression's numerical range.  Residual thresholds default to
-    1e-8 * ||a|| * ||b|| and are always re-checked from scratch on the
-    assembled witness, which is the source of truth.
+    the compression's numerical range.  Zero counts as inside the range
+    within _NR_REL_TOL * ||a|| * ||b||; the witness's residuals must stay
+    within 1e-8 * ||a|| * ||b|| and are always re-checked from scratch on
+    the assembled witness, which is the source of truth.
 
     The witness is built directly by the inverse field-of-values
     construction (_zero_form_vector): a unit y with <Cy, y> = 0 for the
@@ -149,14 +152,10 @@ def find_witness(a: Matrix, b: Matrix, *, rank_tol: float = 1e-8,
     but the constructed vector misses the threshold.
     """
     _check_pair(a, b, square=True)
-    sd = top_singular_subspace(a, rank_tol)
-    sigma_a = sd.op_norm
-    sigma_b = operator_norm(b)
-    scale = sigma_a * sigma_b
-    if eps is None:
-        eps = 1e-8 * scale
-    if nr_tol is None:
-        nr_tol = 1e-9 * scale
+    sd = top_singular_subspace(a)
+    scale = sd.op_norm * operator_norm(b)
+    eps = 1e-8 * scale
+    nr_tol = _NR_REL_TOL * scale
 
     comp = _compression(a, b, sd.top_subspace)
     contains, cert = zero_in_numerical_range(Matrix(a.field, comp), nr_tol)
@@ -201,59 +200,6 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float):
                           best_x=dist.certificate)
 
 
-def _saddle_starts(a: Matrix, b: Matrix, lam) -> list:
-    """Top singular band of the pencil A + lam*B, as raw vectors.
-
-    At an exact scalar minimizer lambda*, some vector of this band maximizes
-    phi(x) = inf over mu of ||(A + mu B)x||; the band (rank_tol 1e-4) is
-    widened to absorb line-search error.  A zero pencil returns the full
-    standard basis, on which phi vanishes like everywhere else.
-    """
-    pencil = Matrix(a.field, a.data + lam * b.data)
-    sd = top_singular_subspace(pencil, rank_tol=1e-4)
-    return [vec.data for vec in sd.top_subspace]
-
-
-def _neg_phi_fg(aa: np.ndarray, ba: np.ndarray):
-    """Negated phi(x) = ||Ax||^2 - |<Ax, Bx>|^2 / ||Bx||^2 with its gradient."""
-    ah = aa.conj().T
-    bh = ba.conj().T
-
-    def fg(x):
-        u = aa @ x
-        v = ba @ x
-        uu = np.vdot(u, u).real
-        vv = np.vdot(v, v).real
-        au = ah @ u
-        if vv <= 1e-300:
-            return -uu, -2.0 * au
-        c = np.vdot(v, u)
-        cc = (c.conjugate() * c).real
-        f = uu - cc / vv
-        g = 2.0 * (au - ((c.conjugate() * (bh @ u) + c * (ah @ v)) * vv
-                         - cc * (bh @ v)) / (vv * vv))
-        return -f, -g
-
-    return fg
-
-
-def _max_inner_inf(a: Matrix, b: Matrix, *, restarts: int, seed: int,
-                   max_iter: int, extra_starts=(), stop_below: float = -math.inf):
-    """Maximize x -> inf over lambda of ||(A + lambda B)x|| over the unit sphere.
-
-    Deterministic starts are the top singular basis of a (plus any callers'
-    extras); the rest are seeded random points.  Returns (phi_best, x_best).
-    """
-    sd = top_singular_subspace(a)
-    det_starts = [vec.data for vec in sd.top_subspace] + [np.asarray(s) for s in extra_starts]
-    fg = _neg_phi_fg(a.data, b.data)
-    neg_phi, x, used = multistart_minimize(fg, a.cols, complex_field=a.field is Field.COMPLEX,
-                                           restarts=restarts, seed=seed,
-                                           det_starts=det_starts, max_iter=max_iter,
-                                           stop_below=stop_below)
-    return -neg_phi, x, used
-
-
 @dataclass(frozen=True)
 class DecisionReport:
     """Combined outcome of the requested decision routes."""
@@ -265,8 +211,8 @@ class DecisionReport:
     witness_error: str | None = None
 
 
-def decide(a: Matrix, b: Matrix, *, method: str = "both", tol: float = 1e-7,
-           rank_tol: float = 1e-8) -> DecisionReport:
+def decide(a: Matrix, b: Matrix, *, method: str = "both",
+           tol: float = 1e-7) -> DecisionReport:
     """Run the definitional route, the witness route, or both.
 
     When both run and disagree inside the band |margin| <= 10*tol the combined
@@ -283,10 +229,8 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both", tol: float = 1e-7,
     if method in ("def", "both"):
         defv = check_definitional(a, b, tol)
     if method in ("witness", "both"):
-        # find_witness's default, passed in so the verdict records the tol used
-        nr_tol = 1e-9 * operator_norm(a) * operator_norm(b)
         try:
-            out = find_witness(a, b, rank_tol=rank_tol, nr_tol=nr_tol)
+            out = find_witness(a, b)
         except WitnessSearchError as exc:
             if method == "witness":
                 raise
@@ -294,8 +238,8 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both", tol: float = 1e-7,
         else:
             if isinstance(out, Witness):
                 witness = out
-                witv = Verdict(status=Status.ORTHOGONAL, margin=None,
-                               method=Method.WITNESS, tol=nr_tol)
+                witv = Verdict(status=Status.ORTHOGONAL, margin=None, method=Method.WITNESS,
+                               tol=_NR_REL_TOL * operator_norm(a) * operator_norm(b))
             else:
                 witv = out
 

@@ -62,23 +62,14 @@ def gen_orthogonal_pair(n: int, seed: int, field: Field = Field.COMPLEX):
 
     B starts from the Ginibre draw at seed+1 and gets a rank-one correction
     so that a top singular vector x0 of A satisfies <B x0, A x0> = 0; x0 then
-    witnesses the orthogonality exactly (up to roundoff).  Should A come out
-    zero (probability zero in practice) the seed advances by 2 and the draw
-    repeats.
+    witnesses the orthogonality exactly (up to roundoff).  A, the Ginibre
+    draw at seed, has Gaussian entries and so is never zero.
     """
     if n < 2:
         raise InputError(f"orthogonal pairs need dimension at least 2, got {n}")
-    s = seed
-    for _ in range(8):
-        a = gen_ginibre(n, s, field)
-        sd = top_singular_subspace(a)
-        if sd.op_norm > 0.0:
-            break
-        s += 2
-    else:
-        raise InputError("could not draw a nonzero matrix")
-
-    bp = gen_ginibre(n, s + 1, field)
+    a = gen_ginibre(n, seed, field)
+    sd = top_singular_subspace(a)
+    bp = gen_ginibre(n, seed + 1, field)
     x0 = sd.top_subspace[0].data
     ax0 = a.data @ x0
     coef = inner(bp.data @ x0, ax0) / (sd.op_norm ** 2)

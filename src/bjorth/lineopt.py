@@ -43,7 +43,7 @@ _NR_XTOL = 1e-10
 # Cap on refinement evaluations, far above the 12 to 33 taken on random and
 # flat-edge ranges.
 _NR_MAX_EVALS = 200
-_BAND_START = 1e-4   # relative width of the first singular band, as in _saddle_starts
+_BAND_START = 1e-4   # relative width of the first singular band
 _BAND_FLOOR = 1e-15  # narrower bands hold only exact ties, so the descent stops
 
 
@@ -93,7 +93,7 @@ class SeparationCertificate:
     tol: float
 
 
-def inner_inf(u: Vector, v: Vector, field=None) -> LineMinResult:
+def inner_inf(u: Vector, v: Vector) -> LineMinResult:
     """Closed-form inf over lambda of ||u + lambda*v||.
 
     With c = <u, v> and v != 0 the minimizer is lambda* = -c / ||v||^2, and
@@ -101,7 +101,7 @@ def inner_inf(u: Vector, v: Vector, field=None) -> LineMinResult:
     its accuracy relative to ||u|| when u and v are nearly parallel.  For
     v = 0 every lambda ties, so (||u||, 0) is returned.
     """
-    fld = _check_pair(u, v, field=field)
+    fld = _check_pair(u, v)
     vv = float(np.vdot(v.data, v.data).real)
     lam = -inner(u, v) / vv if vv != 0.0 else 0.0
     lam = float(lam) if fld is Field.REAL else complex(lam)
@@ -434,32 +434,28 @@ def _result(a: Matrix, b: Matrix, value: float, lam, meter: _Budget, x: np.ndarr
                          stop_reason == "budget", stop_reason)
 
 
-def limit_lemma_check(scalar, b: float, samples: int = 16) -> bool:
+def limit_lemma_check(scalar, b: float) -> bool:
     """Sampled test of: 0 <= |lam|^2 * b^2 + 2*Re(conj(lam) * scalar) for all lam.
 
     The sample set is deterministic: magnitudes 1, 1e-1, ..., 1e-8 crossed
     with the four axis directions, the directions aligned with the phase of
-    the scalar (which make the test sharp), and `samples` further roots of
-    unity.  A True answer therefore pins |scalar| <= 1e-8 * b^2 / 2.
+    the scalar (which make the test sharp), and the 16th roots of unity.  A
+    True answer therefore pins |scalar| <= 1e-8 * b^2 / 2.
 
     Parameters
     ----------
     scalar : complex or float
     b : float
         Nonnegative magnitude entering the quadratic term.
-    samples : int
-        Extra sampled directions, at least 4.
     """
     if b < 0.0:
         raise InputError("b must be nonnegative")
-    if samples < 4:
-        raise InputError("samples must be at least 4")
     z = complex(scalar)
     dirs = [1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j]
     if abs(z) > 0.0:
         ph = z / abs(z)
         dirs += [ph, -ph, 1j * ph, -1j * ph]
-    dirs += [cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
+    dirs += [cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
     mags = [10.0 ** (-e) for e in range(9)]
     bb = b * b
     for t in mags:

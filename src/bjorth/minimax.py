@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Field, InputError, Matrix, Vector, _check_pair
+import numpy as np
+
+from ._sphere import multistart_minimize
+from .core import Field, InputError, Matrix, Vector, _check_pair, _top_band
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
-from .decision import _max_inner_inf, _saddle_starts
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
 
 GAP_TOL = 1e-4   # default relative duality-gap target
@@ -42,25 +44,53 @@ class SupInfResult:
     restarts: int
 
 
+def _neg_phi_fg(aa: np.ndarray, ba: np.ndarray):
+    """Negated phi(x) = ||Ax||^2 - |<Ax, Bx>|^2 / ||Bx||^2 with its gradient."""
+    ah = aa.conj().T
+    bh = ba.conj().T
+
+    def fg(x):
+        u = aa @ x
+        v = ba @ x
+        uu = np.vdot(u, u).real
+        vv = np.vdot(v, v).real
+        au = ah @ u
+        if vv <= 1e-300:
+            return -uu, -2.0 * au
+        c = np.vdot(v, u)
+        cc = (c.conjugate() * c).real
+        f = uu - cc / vv
+        g = 2.0 * (au - ((c.conjugate() * (bh @ u) + c * (ah @ v)) * vv
+                         - cc * (bh @ v)) / (vv * vv))
+        return -f, -g
+
+    return fg
+
+
 def lhs_sup_inf(a: Matrix, b: Matrix, *, restarts: int = 50, seed: int = 0,
-                lambda_hint=None, max_iter: int = 400,
-                stop_at: float | None = None) -> SupInfResult:
+                lambda_hint=None, stop_at: float | None = None) -> SupInfResult:
     """Maximize x -> inf over lambda of ||(A + lambda*B) x|| over unit vectors.
 
-    Starts from the top singular basis of a, from the pencil basis at
-    lambda_hint when given, and from seeded random points.  Every reported
-    value is a genuinely evaluated point, hence a lower bound on the
-    scalar-minimized norm up to roundoff.  stop_at, when given, must itself
-    be such an upper bound (e.g. the other side of the identity minus the
-    accepted slack); reaching it ends the search early.
+    Sphere descents start from the top singular basis of a, then from the
+    top band of A + lambda_hint*B when given, then from `restarts` seeded
+    random points.  At an exact minimizer lambda* some vector of that band
+    maximizes phi; the band's relative width of 1e-4 absorbs the error in
+    lambda_hint.  Every reported value is a genuinely evaluated point, hence
+    a lower bound on the scalar-minimized norm up to roundoff.  stop_at,
+    when given, must itself be such an upper bound (e.g. the other side of
+    the identity minus the accepted slack); reaching it ends the search
+    early.
     """
     _square_pair(a, b)
-    extra = [] if lambda_hint is None else _saddle_starts(a, b, lambda_hint)
+    starts = list(_top_band(a.data, 1e-8)[1].T)
+    if lambda_hint is not None:
+        pencil = Matrix(a.field, a.data + lambda_hint * b.data)
+        starts += list(_top_band(pencil.data, 1e-4)[1].T)
     stop = -math.inf if stop_at is None else -(max(stop_at, 0.0) ** 2)
-    phi, x, used = _max_inner_inf(a, b, restarts=restarts, seed=seed,
-                                  max_iter=max_iter, extra_starts=extra,
-                                  stop_below=stop)
-    return SupInfResult(value=math.sqrt(max(phi, 0.0)), x=Vector(a.field, x),
+    neg_phi, x, used = multistart_minimize(
+        _neg_phi_fg(a.data, b.data), a.cols, complex_field=a.field is Field.COMPLEX,
+        restarts=restarts, seed=seed, det_starts=starts, max_iter=400, stop_below=stop)
+    return SupInfResult(value=math.sqrt(max(-neg_phi, 0.0)), x=Vector(a.field, x),
                         restarts=used)
 
 

@@ -20,4 +20,4 @@ def no_sphere_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the sphere search ran")
 
-    monkeypatch.setattr("bjorth.decision.multistart_minimize", no_search)
+    monkeypatch.setattr("bjorth.minimax.multistart_minimize", no_search)

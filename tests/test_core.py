@@ -419,7 +419,3 @@ def test_pair_validation_messages_shared_by_callers():
     for fn, args, message in cases:
         with pytest.raises(InputError, match=message):
             fn(*args)
-    u = Vector(Field.REAL, [1.0, 0.0])
-    with pytest.raises(InputError, match="explicit field tag disagrees with the operands"):
-        inner_inf(u, u, field="complex")
-    assert inner_inf(u, u, field=Field.REAL).value == 0.0

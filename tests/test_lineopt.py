@@ -392,6 +392,21 @@ def test_pencil_norm_is_midpoint_convex():
         assert f(0.5 * (l1 + l2)) <= 0.5 * (f(l1) + f(l2)) + 1e-10
 
 
+# ---------------------------------------------------------- _zero_form_vector
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(True, k) for k in range(3, 8)] + [(False, k) for k in range(2, 8)]))
+def test_zero_form_vector_hits_zero(seed, case):
+    # a traceless C has 0 in W(C); complex k >= 3 takes the fan-triangle path
+    complex_field, k = case
+    c = _oracles.seeded(k, seed, complex_field)
+    c = c - np.trace(c) / k * np.eye(k)
+    y = lineopt_module._zero_form_vector(c, complex_field)
+    assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(y, c @ y)) <= 1e-12 * np.linalg.norm(c)
+
+
 # ------------------------------------------------------------ limit_lemma_check
 
 
@@ -415,8 +430,6 @@ def test_limit_lemma_resolution_floor():
 def test_limit_lemma_validation():
     with pytest.raises(InputError):
         limit_lemma_check(0.0, -1.0)
-    with pytest.raises(InputError):
-        limit_lemma_check(0.0, 1.0, samples=3)
 
 
 @given(st.floats(0.0, 2.0 * math.pi, allow_nan=False),
