@@ -16,8 +16,12 @@ The band holds every singular value within a relative width of the top
 one; the width starts at 1e-4, so near a kink the direction accounts for
 the singular values about to tie, and narrows tenfold whenever it stops
 paying.  The search ends when the value and the
-lower bound meet.  The same line minimizer sharpens the separating angle of
-the numerical-range test.
+lower bound meet.  The norm is convex along each line, so a line search
+ends as soon as the chords through its evaluated points certify its value
+to a tenth of that stopping gap, rather than when its bracket closes.  The
+same line minimizer sharpens the separating angle of the numerical-range
+test; the function it maximizes there is not concave, so that search runs
+until its bracket is 1e-10 wide.
 """
 
 from __future__ import annotations
@@ -123,16 +127,27 @@ class _Budget:
         return True
 
 
-def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget):
+def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget,
+                ftol: float | None = None):
     """Minimize a unimodal f on [a, b] by Brent's method.
 
     Returns (x_best, f_best, exhausted): the point of lowest value among
     those evaluated, and whether the budget ran out first.  Unless it did,
     the search ends once the bracket around x_best, which holds the
-    minimizer of a unimodal f, is at most xtol wide.  xtol is absolute:
+    minimizer of a unimodal f, is at most xtol wide, or, given ftol, once
+    f_best is certified within ftol of the minimum.  xtol is absolute:
     at a kink the value error is the slope times the error in x, so a term
     relative to |x| would loosen the value by an amount set by where the
     bracket happens to sit.
+
+    ftol is for a convex f only.  Once both bracket ends l < x_best < r are
+    evaluated points, they are the ones nearest x_best, and the chords
+    through them bound f from below on each side of x = x_best:
+    min f >= f(x) - max((f(l) - f(x))(r - x)/(x - l), (f(r) - f(x))(x - l)/(r - x)).
+    At a smooth minimum this ends the search while the last evaluations
+    would still narrow the bracket without changing the value.  The bound
+    holds to the rounding of f; the distance search re-tests optimality
+    after every line, so a line ended early costs descent, not accuracy.
 
     A parabola through the three best points proposes each step.  It is
     taken only when it lands inside the bracket and moves less than half
@@ -149,6 +164,7 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget):
     if not budget.spend():
         return x, math.inf, True
     fx = fw = fv = f(x)
+    fa = fb = math.inf   # f at the bracket ends, once they are evaluated points
     d = e = 0.0   # the last step, and the one before it
     while max(x - a, b - x) > 2.0 * tol1:
         xm = 0.5 * (a + b)
@@ -175,19 +191,22 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget):
         fu = f(u)
         if fu <= fx:
             if u >= x:
-                a = x
+                a, fa = x, fx
             else:
-                b = x
+                b, fb = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+        if ftol is not None and a < x < b and max(
+                (fa - fx) * (b - x) / (x - a), (fb - fx) * (x - a) / (b - x)) <= ftol:
+            break
     return x, fx, False
 
 
@@ -374,8 +393,12 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
         return _result(a, b, norm_a, lam0, meter, x, "converged")
 
     # Work on A/||A||, B/||A||: the search trajectory then depends only on
-    # the scale-free shape of the pencil, so (cA, cB) retraces the steps of
-    # (A, B) exactly and the result scales by |c| to rounding accuracy.
+    # the scale-free shape of the pencil and on the stop target below.  That
+    # target, min(tol/||A||, 1e-9)/10, is the same for (cA, cB) as for (A, B)
+    # only while both norms are at most 1e9 * tol (100 at the default tol);
+    # there (cA, cB) retraces the steps of (A, B) and the result scales by
+    # |c| to rounding accuracy.  Past it the target shrinks with 1/||A||, can
+    # fall below rounding, and the solve may end "stagnant".
     unit = norm_a
     aa = a.data / unit
     ba = b.data / unit
@@ -383,7 +406,7 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     norm_bn = norm_b / unit
     radius = 2.0 / norm_bn
     stop = min(tol / unit, 1e-9) / 10.0
-    xtol = max(stop / norm_bn, 1e-15 * radius)
+    xtol = 1e-15 * radius   # rounding floor; each line ends on its value stop first
 
     def f(lam: complex) -> float:
         return math.sqrt(_sigma_max_sq(aa + (lam if complex_field else lam.real) * ba))
@@ -410,7 +433,7 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
             d = -cmath.exp(-1j * sep.theta)
             center = lam
             t, ft, exhausted = _brent_line(lambda t: f(center + t * d), 0.0, 2.0 * radius,
-                                           xtol, meter)
+                                           xtol, meter, 0.1 * stop)
             if ft < val:
                 lam, val, moved = center + t * d, ft, True
             if exhausted:
