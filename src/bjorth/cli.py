@@ -18,7 +18,7 @@ from .core import ConvergenceError, Field, InputError, Matrix, operator_norm
 from .decision import (Status, Verdict, Witness, WitnessFailure, decide,
                        epsilon_witness, find_witness)
 from .harness import (SCHEMA_VERSION, SuiteConfig, Tolerances, gen_ginibre,
-                      gen_orthogonal_pair, run_suite, save_csv)
+                      gen_orthogonal_pair, run_suite, save_csv, save_report)
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
 from .minimax import minimax_report
 
@@ -49,12 +49,10 @@ def _resolve_seed(args) -> int:
 
 def _emit(path: str | None, obj: dict) -> None:
     """Write obj as indented, key-sorted JSON to the file path, or to stdout."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        save_report(obj, path)
     else:
-        print(text)
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _say(args, line: str) -> None:

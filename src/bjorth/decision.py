@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize  # noqa: F401  (bench/spans.py traces it here)
-from .core import (ConvergenceError, Field, InputError, Matrix, Vector, inner,
+from .core import (ConvergenceError, InputError, Matrix, Vector, inner,
                    operator_norm, top_singular_subspace, _check_pair)
-from .lineopt import (SeparationCertificate, _zero_form_vector, global_inf_lambda,
-                      inner_inf, zero_in_numerical_range)
+from .lineopt import (SeparationCertificate, _compression, global_inf_lambda, inner_inf,
+                      zero_in_numerical_range)
 
 log = logging.getLogger("bjorth")
 
@@ -129,14 +129,8 @@ def vector_bj_check(u: Vector, v: Vector, tol: float = 1e-8):
     return bool(res.value >= u.norm() - tol), abs(inner(u, v))
 
 
-def _compression(a: Matrix, b: Matrix, basis: list) -> np.ndarray:
-    """Compression of B*A to the span of the given orthonormal basis."""
-    m = np.column_stack([vec.data for vec in basis])
-    return m.conj().T @ (b.data.conj().T @ (a.data @ m))
-
-
 def find_witness(a: Matrix, b: Matrix):
-    """Exact-witness route: search the top singular subspace of a.
+    """Exact-witness route: build a witness on the top singular subspace of a.
 
     Either returns a Witness (orthogonal, certificate vector included) or a
     NOT_ORTHOGONAL Verdict whose certificate is the separating half-plane of
@@ -145,11 +139,11 @@ def find_witness(a: Matrix, b: Matrix):
     within 1e-8 * ||a|| * ||b|| and are always re-checked from scratch on
     the assembled witness, which is the source of truth.
 
-    The witness is built directly by the inverse field-of-values
-    construction (_zero_form_vector): a unit y with <Cy, y> = 0 for the
-    compression C, lifted to the top subspace.  No search is run.  Raises
-    WitnessSearchError when the numerical range says a witness should exist
-    but the constructed vector misses the threshold.
+    The witness is y lifted to the top subspace, where y is the unit vector
+    with <Cy, y> = 0 that zero_in_numerical_range returns for the
+    compression C of B*A (the inverse field-of-values construction); nothing
+    is searched.  Raises WitnessSearchError when the numerical range says a
+    witness should exist but the constructed vector misses the threshold.
     """
     _check_pair(a, b, square=True)
     sd = top_singular_subspace(a)
@@ -157,15 +151,14 @@ def find_witness(a: Matrix, b: Matrix):
     eps = 1e-8 * scale
     nr_tol = _NR_REL_TOL * scale
 
-    comp = _compression(a, b, sd.top_subspace)
-    contains, cert = zero_in_numerical_range(Matrix(a.field, comp), nr_tol)
+    basis = np.column_stack([vec.data for vec in sd.top_subspace])
+    contains, cert, y = zero_in_numerical_range(
+        Matrix(a.field, _compression(a.data, b.data, basis)), nr_tol)
     if not contains:
         return Verdict(status=Status.NOT_ORTHOGONAL, margin=None,
                        method=Method.WITNESS, tol=nr_tol, certificate=cert)
 
-    basis = np.column_stack([vec.data for vec in sd.top_subspace])
-    witness = Witness.from_vector(
-        a, b, basis @ _zero_form_vector(comp, a.field is Field.COMPLEX))
+    witness = Witness.from_vector(a, b, basis @ y)
     if witness.epsilon > eps:
         raise WitnessSearchError(
             f"witness construction failed: residual {witness.epsilon:.3e} above {eps:.3e}",

@@ -6,22 +6,23 @@ optimality condition (Bhatia and Semrl, Linear Algebra Appl. 287, 1999):
 lambda* minimizes ||A + lambda*B|| exactly when A + lambda*B is
 Birkhoff-James orthogonal to B, that is when zero lies in the numerical
 range W(C) of C = X*B*(A + lambda*B)X, with X spanning the top singular
-band of the pencil.  When zero lies outside, the separating half-plane
-gives a descent direction, searched by Brent's method (parabolic
-interpolation safeguarded by golden-section steps; Brent, Algorithms for
-Minimization without Derivatives, 1973, ch. 5).  When zero lies inside, the
-band vector x with <(A + lambda*B)x, Bx> = 0 gives the evaluated lower bound
-phi(x) = inf over mu of ||(A + mu*B)x||, which never exceeds the infimum.
-The band holds every singular value within a relative width of the top
-one; the width starts at 1e-4, so near a kink the direction accounts for
-the singular values about to tie, and narrows tenfold whenever it stops
-paying.  The search ends when the value and the
-lower bound meet.  The norm is convex along each line, so a line search
-ends as soon as the chords through its evaluated points certify its value
-to a tenth of that stopping gap, rather than when its bracket closes.  The
-same line minimizer sharpens the separating angle of the numerical-range
-test; the function it maximizes there is not concave, so that search runs
-until its bracket is 1e-10 wide.
+band of the pencil.  zero_in_numerical_range answers that, for this search
+and for the witness route alike, from one decomposition of C.  When zero
+lies outside, the separating half-plane gives a descent direction, searched
+by Brent's method (parabolic interpolation safeguarded by golden-section
+steps; Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+When zero lies inside, it also returns a unit y with <Cy, y> = 0, and
+x = Xy gives the evaluated lower bound phi(x) = inf over mu of
+||(A + mu*B)x||, which never exceeds the infimum.  The band holds every
+singular value within a relative width of the top one; the width starts at
+1e-4, so near a kink the direction accounts for the singular values about
+to tie, and narrows tenfold whenever it stops paying.  The search ends when
+the value and the lower bound meet.  The norm is convex along each line, so
+a line search ends as soon as the chords through its evaluated points
+certify its value to a tenth of that stopping gap, rather than when its
+bracket closes.  The same line minimizer sharpens the separating angle of
+the numerical-range test; the function it maximizes there is not concave,
+so that search runs until its bracket is 1e-10 wide.
 """
 
 from __future__ import annotations
@@ -213,40 +214,40 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget,
 def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     """Test whether zero lies in the numerical range {<Cy, y> : ||y|| = 1}.
 
-    Over the real field the range is the real interval [lambda_min,
-    lambda_max] of the symmetric part, checked directly.  Over the complex
-    field a 1x1 compression has the single point W(C) = {c}: zero lies
-    inside iff |c| <= tol, and the half-plane at theta = -arg(c) has support
-    |c|.  Larger compressions scan m(theta) = lambda_min(Re(e^{i theta} C))
-    over a 720-point grid in one stacked eigenvalue call, then sharpen the
-    best angle by minimizing -m with the distance search's line minimizer
-    (Brent's method) to a bracket of 1e-10; a value above tol is a
-    separating half-plane, so zero is outside.
-
-    Returns (contains_zero, SeparationCertificate).
+    Returns (contains_zero, SeparationCertificate, y) from one decomposition:
+    y is a unit vector with <Cy, y> = 0 when zero lies inside, and a unit
+    vector of value near zero otherwise.  A 1x1 C has W(C) = {c}: zero lies
+    inside iff |c| <= tol, theta = -arg(c), the support is |c| and y = 1.
+    Over the reals W(C) is the eigenvalue interval of the symmetric part,
+    and y mixes its two extreme eigenvectors.  Otherwise m(theta) =
+    lambda_min(Re(e^{i theta} C)) is scanned over a 720-point grid in one
+    stacked eigenvalue call and the best angle sharpened by Brent's method
+    on -m to a bracket of 1e-10; a value above tol is a separating
+    half-plane.  y is an exact Bloch-sphere solve for a 2x2 C (_bloch_zero);
+    for a larger C the scan is an eigh, whose minimal eigenvectors build y
+    (_fan_zero).
     """
     if not c.is_square():
         raise InputError(f"square matrix required, got {c.shape}")
     if tol is None:
         tol = 1e-9 * float(np.linalg.norm(c.data))
     ca = c.data
-    if c.field is Field.REAL:
-        sym = 0.5 * (ca + ca.T)
-        w = np.linalg.eigvalsh(sym)
-        lo, hi = float(w[0]), float(w[-1])
-        if lo > tol:
-            return False, SeparationCertificate(0.0, lo, tol)
-        if hi < -tol:
-            return False, SeparationCertificate(math.pi, -hi, tol)
-        if lo >= -hi:
-            return True, SeparationCertificate(0.0, lo, tol)
-        return True, SeparationCertificate(math.pi, -hi, tol)
-
-    if c.rows == 1:
+    if c.rows == 1:   # every unit vector gives the same point
         z = complex(ca[0, 0])
         support = abs(z)
         theta = -cmath.phase(z) % (2.0 * math.pi)
-        return support <= tol, SeparationCertificate(theta, support, tol)
+        return support <= tol, SeparationCertificate(theta, support, tol), np.ones(1, ca.dtype)
+
+    if c.field is Field.REAL:
+        w, v = np.linalg.eigh(0.5 * (ca + ca.T))
+        lo, hi = float(w[0]), float(w[-1])
+        theta, support = (0.0, lo) if lo >= -hi else (math.pi, -hi)
+        if lo < 0.0 < hi:
+            y = math.sqrt(hi) * v[:, 0] + math.sqrt(-lo) * v[:, -1]
+            y /= np.linalg.norm(y)
+        else:
+            y = v[:, 0] if abs(lo) <= abs(hi) else v[:, -1]
+        return support <= tol, SeparationCertificate(theta, support, tol), y
 
     h1 = 0.5 * (ca + ca.conj().T)
     h2 = (ca - ca.conj().T) / 2j
@@ -256,8 +257,14 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
         return float(w[0])
 
     step = 2.0 * math.pi / NR_GRID
-    grid, stack = _scan_stack(ca)
-    mins = np.linalg.eigvalsh(stack)[:, 0]
+    grid = np.arange(NR_GRID) * step
+    rot = np.exp(1j * grid)[:, None, None] * ca
+    stack = 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
+    if c.rows == 2:   # the Bloch-sphere solve needs no scan vectors
+        mins, y = np.linalg.eigvalsh(stack)[:, 0], _bloch_zero(ca)
+    else:
+        w, v = np.linalg.eigh(stack)
+        mins, y = w[:, 0], _fan_zero(ca, v[:, :, 0])
     j = int(np.argmax(mins))
     best_theta, best_m = float(grid[j]), float(mins[j])
 
@@ -266,43 +273,19 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     if -neg_m > best_m:
         best_theta, best_m = theta, -neg_m
 
-    best_theta = best_theta % (2.0 * math.pi)
-    cert = SeparationCertificate(best_theta, best_m, tol)
-    return best_m <= tol, cert
+    return best_m <= tol, SeparationCertificate(best_theta % (2.0 * math.pi), best_m, tol), y
 
 
-def _scan_stack(ca: np.ndarray):
-    """The scan angles and Re(e^{i theta} C) at each of them, stacked."""
-    grid = np.arange(NR_GRID) * (2.0 * math.pi / NR_GRID)
-    rot = np.exp(1j * grid)[:, None, None] * ca
-    return grid, 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
+def _fan_zero(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Unit y with <Cy, y> = 0 from the scan's boundary vectors xs of W(C).
 
-
-def _zero_form_vector(c: np.ndarray, complex_field: bool) -> np.ndarray:
-    """Unit y with <Cy, y> = 0 when zero lies in the numerical range of C.
-
-    Real field: the extreme eigenvectors of the symmetric part, mixed so
-    their values cancel.  Complex field: the range of a 2x2 matrix is an
-    affine image of the Bloch sphere, solved exactly by _bloch_zero.  For a
-    larger C, the minimal eigenvectors of Re(e^{i theta} C) over the scan
-    grid give boundary points of the range; a fan triangle of them holding
-    zero is collapsed in two exact 2x2 steps: first a vector on its edge
-    whose value is where the line from the third vertex through zero meets
-    that edge, then a zero on the span of that vector and the third one.
-    When zero is outside the range the result is only a nearby vector.
+    The values p_j = <C x_j, x_j> are boundary points of the range; a fan
+    triangle (p_0, p_j, p_j+1) holding zero is collapsed in two exact 2x2
+    steps: first a vector on its edge whose value is where the line from
+    the third vertex through zero meets that edge, then a zero on the span
+    of that vector and the third one.  When no triangle holds zero, the
+    boundary vector of value nearest zero is returned.
     """
-    if c.shape[0] == 1:   # W(C) = {c}: every unit vector is the same point
-        return np.ones(1, dtype=c.dtype)
-    if not complex_field:
-        w, v = np.linalg.eigh(0.5 * (c + c.T))
-        if w[0] >= 0.0 or w[-1] <= 0.0:
-            return v[:, 0] if abs(w[0]) <= abs(w[-1]) else v[:, -1]
-        y = math.sqrt(w[-1]) * v[:, 0] + math.sqrt(-w[0]) * v[:, -1]
-        return y / np.linalg.norm(y)
-    if c.shape[0] == 2:
-        return _bloch_zero(c)
-
-    xs = np.linalg.eigh(_scan_stack(c)[1])[1][:, :, 0]
     pts = np.einsum("ji,ik,jk->j", xs.conj(), c, xs)
     # signed areas of (0, p0, pj), (0, pj, pj+1) and (0, pj+1, p0) over the fan j >= 1
     d1 = (pts[0].conjugate() * pts[1:-1]).imag
@@ -346,6 +329,11 @@ def _bloch_zero(m: np.ndarray) -> np.ndarray:
     else:
         y = np.array([s[0] - 1j * s[1], 1.0 - s[2]])
     return y / np.linalg.norm(y)
+
+
+def _compression(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C = X*B*AX: the form <Ax, Bx> on the span of the orthonormal columns of x."""
+    return x.conj().T @ (b.conj().T @ (a @ x))
 
 
 def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
@@ -402,7 +390,6 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     unit = norm_a
     aa = a.data / unit
     ba = b.data / unit
-    bh = ba.conj().T
     norm_bn = norm_b / unit
     radius = 2.0 / norm_bn
     stop = min(tol / unit, 1e-9) / 10.0
@@ -418,11 +405,11 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     while meter.spend() or cert is None:   # the first band always runs
         p = aa + (lam if complex_field else lam.real) * ba
         x = _top_band(p, band)[1]
-        c = x.conj().T @ (bh @ (p @ x))
-        contains, sep = zero_in_numerical_range(Matrix(fld, c), band * norm_bn)
+        contains, sep, y = zero_in_numerical_range(Matrix(fld, _compression(p, ba, x)),
+                                                   band * norm_bn)
         moved = False
         if contains or cert is None:
-            y = x @ _zero_form_vector(c, complex_field)
+            y = x @ y
             phi = inner_inf(Vector(fld, aa @ y), Vector(fld, ba @ y)).value
             if phi > lower:
                 lower, cert = phi, y
@@ -458,12 +445,12 @@ def _result(a: Matrix, b: Matrix, value: float, lam, meter: _Budget, x: np.ndarr
 
 
 def limit_lemma_check(scalar, b: float) -> bool:
-    """Sampled test of: 0 <= |lam|^2 * b^2 + 2*Re(conj(lam) * scalar) for all lam.
+    """Test of: 0 <= |lam|^2 * b^2 + 2*Re(conj(lam) * scalar) for |lam| >= 1e-8.
 
-    The sample set is deterministic: magnitudes 1, 1e-1, ..., 1e-8 crossed
-    with the four axis directions, the directions aligned with the phase of
-    the scalar (which make the test sharp), and the 16th roots of unity.  A
-    True answer therefore pins |scalar| <= 1e-8 * b^2 / 2.
+    The lemma behind it says the quadratic stays nonnegative for every lam
+    exactly when scalar = 0.  At |lam| = t the direction -scalar/|scalar|
+    is the sharpest, giving t^2 b^2 - 2t|scalar|, and the smallest
+    magnitude t = 1e-8 bites first, so the test is 2|scalar| <= 1e-8 * b^2.
 
     Parameters
     ----------
@@ -473,17 +460,4 @@ def limit_lemma_check(scalar, b: float) -> bool:
     """
     if b < 0.0:
         raise InputError("b must be nonnegative")
-    z = complex(scalar)
-    dirs = [1.0 + 0.0j, -1.0 + 0.0j, 0.0 + 1.0j, 0.0 - 1.0j]
-    if abs(z) > 0.0:
-        ph = z / abs(z)
-        dirs += [ph, -ph, 1j * ph, -1j * ph]
-    dirs += [cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
-    mags = [10.0 ** (-e) for e in range(9)]
-    bb = b * b
-    for t in mags:
-        for d in dirs:
-            lam = t * d
-            if abs(lam) ** 2 * bb + 2.0 * (lam.conjugate() * z).real < 0.0:
-                return False
-    return True
+    return 2.0 * abs(complex(scalar)) <= 1e-8 * b * b

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import bjorth.decision as decision_module
 from bjorth import (
     Field,
     InputError,
@@ -19,6 +20,7 @@ from bjorth import (
     decide,
     epsilon_witness,
     find_witness,
+    gen_ginibre,
     gen_orthogonal_pair,
     global_inf_lambda,
     inner,
@@ -28,7 +30,7 @@ from bjorth import (
     zero_in_numerical_range,
 )
 from bjorth.core import top_singular_subspace
-from bjorth.decision import _compression
+from bjorth.lineopt import _compression
 
 
 def cmat(rows) -> Matrix:
@@ -96,6 +98,28 @@ def test_definitional_status_is_scale_invariant():
     assert scaled.status is base
 
 
+@pytest.mark.xfail(strict=True, reason="D2: the definitional verdict compares an absolute tol")
+def test_definitional_verdict_scale_free_kink_pair():
+    # (s diag(2, 1), s I) is 75% of ||A|| away from orthogonal at every scale;
+    # at s = 1e-9 the whole margin -1.5e-9 fits inside the absolute tol 1e-7
+    s = 1e-9
+    v = check_definitional(rmat(s * np.diag([2.0, 1.0])), rmat(s * np.eye(2)))
+    assert v.status is Status.NOT_ORTHOGONAL
+
+
+@pytest.mark.xfail(strict=True, reason="D4: the definitional verdict ignores the certificate")
+def test_definitional_verdict_reads_unconverged_certificate(monkeypatch):
+    # four evaluations leave the solve at lambda = 0 (value ||A|| = 3.674)
+    # with lower bound 2.658, stopped on "budget"; the converged margin is
+    # -0.27, so an ORTHOGONAL verdict from this solve is unfounded
+    solve = decision_module.global_inf_lambda
+    monkeypatch.setattr(decision_module, "global_inf_lambda",
+                        lambda a, b, **kw: solve(a, b, budget=4, **kw))
+    a = gen_ginibre(4, 11, Field.COMPLEX)
+    b = gen_ginibre(4, 12, Field.COMPLEX)
+    assert check_definitional(a, b).status is not Status.ORTHOGONAL
+
+
 # --------------------------------------------------------------- vector check
 
 
@@ -144,21 +168,21 @@ def test_vector_check_dim_one():
 
 
 def test_numerical_range_balanced_diagonal():
-    contains, _ = zero_in_numerical_range(cmat([[1, 0], [0, -1]]))
+    contains, _, _ = zero_in_numerical_range(cmat([[1, 0], [0, -1]]))
     assert contains is True
 
 
 def test_numerical_range_identity_certificate():
-    contains, cert = zero_in_numerical_range(cmat(np.eye(2)))
+    contains, cert, _ = zero_in_numerical_range(cmat(np.eye(2)))
     assert contains is False
     assert cert.theta == pytest.approx(0.0, abs=1e-6)
     assert cert.support == pytest.approx(1.0, abs=1e-9)
 
 
 def test_numerical_range_real_interval():
-    contains, _ = zero_in_numerical_range(rmat([[0, 1], [0, 0]]))
+    contains, _, _ = zero_in_numerical_range(rmat([[0, 1], [0, 0]]))
     assert contains is True      # symmetric part has eigenvalues +-1/2
-    contains, cert = zero_in_numerical_range(rmat(np.eye(2)))
+    contains, cert, _ = zero_in_numerical_range(rmat(np.eye(2)))
     assert contains is False
     assert cert.support == pytest.approx(1.0, abs=1e-12)
 
@@ -171,7 +195,7 @@ def test_numerical_range_normal_matrices_match_hull_oracle():
         eigs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         u = _oracles.haar_unitary(4, 900 + seed)
         c = cmat(u @ np.diag(eigs) @ u.conj().T)
-        contains, cert = zero_in_numerical_range(c)
+        contains, cert, _ = zero_in_numerical_range(c)
         if abs(cert.support) <= 1e-6:
             continue             # too close to the boundary to compare robustly
         assert contains == _oracles.zero_in_hull(eigs)
@@ -185,8 +209,8 @@ def test_numerical_range_one_by_one_closed_form(rel, phase):
     # W([[c]]) = {c} = W(diag(c, c)); the 2x2 copy goes through the angle scan
     tol = 1e-3
     c = tol * rel * cmath.exp(1j * phase)
-    contains, cert = zero_in_numerical_range(cmat([[c]]), tol)
-    scan_contains, scan = zero_in_numerical_range(cmat([[c, 0], [0, c]]), tol)
+    contains, cert, _ = zero_in_numerical_range(cmat([[c]]), tol)
+    scan_contains, scan, _ = zero_in_numerical_range(cmat([[c, 0], [0, c]]), tol)
     assert contains is scan_contains is (rel < 1.0)
     assert cert.support == pytest.approx(scan.support, abs=1e-9)
     assert (cmath.exp(1j * cert.theta) * c).real == pytest.approx(abs(c), rel=1e-15)
@@ -206,7 +230,7 @@ def test_numerical_range_separates_flat_edge_just_past_tol():
         h = rng.uniform(0.5, 2.0)
         tol = 1e-9 * math.sqrt(2.0) * h
         d = 1.5 * tol
-        contains, cert = zero_in_numerical_range(
+        contains, cert, _ = zero_in_numerical_range(
             cmat(rot * np.diag([h + 1j * d, -h + 1j * d])), tol)
         assert not contains
         assert cert.support > tol
@@ -224,8 +248,8 @@ def test_compression_reproduces_image_inner_products():
     a = cmat(_oracles.seeded(4, 400))
     b = cmat(_oracles.seeded(4, 401))
     sd = top_singular_subspace(a)
-    comp = _compression(a, b, sd.top_subspace)
     basis = np.column_stack([vec.data for vec in sd.top_subspace])
+    comp = _compression(a.data, b.data, basis)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(402)))
     for _ in range(5):
         y = rng.standard_normal(comp.shape[0]) + 1j * rng.standard_normal(comp.shape[0])

@@ -18,6 +18,7 @@ from bjorth import (
     inner_inf,
     limit_lemma_check,
     operator_norm,
+    zero_in_numerical_range,
 )
 
 
@@ -436,19 +437,37 @@ def test_pencil_norm_is_midpoint_convex():
         assert f(0.5 * (l1 + l2)) <= 0.5 * (f(l1) + f(l2)) + 1e-10
 
 
-# ---------------------------------------------------------- _zero_form_vector
+# ----------------------------------------------- zero_in_numerical_range vector
 
 
 @given(st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([(True, k) for k in range(3, 8)] + [(False, k) for k in range(2, 8)]))
-def test_zero_form_vector_hits_zero(seed, case):
+       st.sampled_from([(cf, k) for cf in (True, False) for k in range(1, 8)]))
+def test_numerical_range_vector_hits_zero(seed, case):
     # a traceless C has 0 in W(C); complex k >= 3 takes the fan-triangle path
     complex_field, k = case
     c = _oracles.seeded(k, seed, complex_field)
     c = c - np.trace(c) / k * np.eye(k)
-    y = lineopt_module._zero_form_vector(c, complex_field)
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    contains, _, y = zero_in_numerical_range(Matrix(fld, c))
+    assert contains
     assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(y, c @ y)) <= 1e-12 * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("complex_field, k",
+                         [(False, k) for k in range(1, 8)] + [(True, 1)])
+def test_numerical_range_vector_attains_support_outside(complex_field, k):
+    # zero outside W(C): y is the range point nearest zero, so its value's
+    # modulus is the certificate's support
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    for seed in range(20):
+        c = _oracles.seeded(k, 600 + seed, complex_field)
+        if not complex_field:   # a definite symmetric part, of either sign
+            c = c + (-1) ** seed * (np.linalg.norm(c) + 1.0) * np.eye(k)
+        contains, cert, y = zero_in_numerical_range(Matrix(fld, c))
+        assert not contains
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert abs(abs(np.vdot(y, c @ y)) - cert.support) <= 1e-12 * np.linalg.norm(c)
 
 
 # ------------------------------------------------------------ limit_lemma_check
