@@ -15,8 +15,7 @@ import os
 import sys
 
 from .core import ConvergenceError, Field, InputError, Matrix, operator_norm
-from .decision import (Status, Verdict, Witness, WitnessFailure, decide,
-                       epsilon_witness, find_witness)
+from .decision import Status, Witness, decide, epsilon_witness, find_witness
 from .harness import (SCHEMA_VERSION, SuiteConfig, Tolerances, gen_ginibre,
                       gen_orthogonal_pair, run_suite, save_csv, save_report)
 from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,10 +252,17 @@ def operator_norm(m: Matrix) -> float:
 
 def _top_band(a: np.ndarray, rank_tol: float):
     """sigma_max of a raw matrix and, as columns in descending order of
-    sigma, the right singular vectors with sigma >= sigma_max * (1 - rank_tol)."""
+    sigma (ties in index order), the right singular vectors with
+    sigma >= sigma_max * (1 - rank_tol).
+
+    One eigh of the Gram matrix a*a.  The columns carry the phases LAPACK
+    gives them, which repeat for a fixed build and BLAS thread count; the
+    distance solver needs only their span, and top_singular_subspace fixes
+    the phases of what it returns.  For the zero matrix the columns are the
+    standard basis, e_1 first.
+    """
     w, v = np.linalg.eigh(a.conj().T @ a)
-    v = _canonical_phase(v)
-    sigmas = np.sqrt(np.clip(w, 0.0, None))
+    sigmas = np.sqrt(np.maximum(w, 0.0))
     smax = float(sigmas[-1])
     keep = np.flatnonzero(sigmas >= smax * (1.0 - rank_tol))
     keep = keep[np.argsort(-sigmas[keep], kind="stable")]
@@ -277,6 +284,9 @@ def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
     -------
     SpectralData
         op_norm, the basis (descending by singular value), and the rank_tol used.
+        Each basis vector's largest-modulus entry is real and positive, as
+        for hermitian_eig, so the basis does not depend on the phases the
+        LAPACK build leaves free.
 
     For the zero matrix every singular value ties at zero, so the subspace is
     the full standard basis.
@@ -284,5 +294,6 @@ def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
     if not (0.0 < rank_tol < 1e-2):
         raise InputError(f"rank_tol must lie in (0, 1e-2), got {rank_tol}")
     smax, basis = _top_band(m.data, rank_tol)
+    basis = _canonical_phase(basis)
     vectors = [Vector(m.field, basis[:, k]) for k in range(basis.shape[1])]
     return SpectralData(op_norm=smax, top_subspace=vectors, rank_tol=rank_tol)

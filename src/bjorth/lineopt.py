@@ -23,6 +23,16 @@ certify its value to a tenth of that stopping gap, rather than when its
 bracket closes.  The same line minimizer sharpens the separating angle of
 the numerical-range test; the function it maximizes there is not concave,
 so that search runs until its bracket is 1e-10 wide.
+
+The public functions (inner_inf, zero_in_numerical_range,
+global_inf_lambda) validate their Matrix and Vector arguments and wrap
+their results.  Inside the search everything is a raw ndarray: each band
+step is one eigh of the pencil's Gram matrix (_top_band), the compression,
+the numerical-range kernel _zero_in_range and the phi kernel _line_inf, and
+each norm evaluation is one eigvalsh.  The band's columns keep the phases
+LAPACK gives them, which repeat for a fixed build and BLAS thread count.
+W(C) does not depend on them, but when zero lies inside, which of its
+zeros y the kernel picks can, and with it the certificate and the path.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Field, InputError, Matrix, Vector, inner, _check_pair,
-                   _sigma_max_sq, _top_band)
+from .core import (Field, InputError, Matrix, Vector, _check_pair, _top_band,
+                   operator_norm)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
 DEFAULT_TOL = 1e-7
@@ -107,11 +117,16 @@ def inner_inf(u: Vector, v: Vector) -> LineMinResult:
     v = 0 every lambda ties, so (||u||, 0) is returned.
     """
     fld = _check_pair(u, v)
-    vv = float(np.vdot(v.data, v.data).real)
-    lam = -inner(u, v) / vv if vv != 0.0 else 0.0
+    val, lam = _line_inf(u.data, v.data)
     lam = float(lam) if fld is Field.REAL else complex(lam)
-    val = float(np.linalg.norm(u.data + lam * v.data))
     return LineMinResult(val, lam, 0, val)
+
+
+def _line_inf(u: np.ndarray, v: np.ndarray):
+    """inner_inf on raw arrays of one field: (value, lambda*)."""
+    vv = float(np.vdot(v, v).real)
+    lam = -np.vdot(v, u).item() / vv if vv != 0.0 else 0.0
+    return float(np.linalg.norm(u + lam * v)), lam
 
 
 class _Budget:
@@ -231,14 +246,20 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
         raise InputError(f"square matrix required, got {c.shape}")
     if tol is None:
         tol = 1e-9 * float(np.linalg.norm(c.data))
-    ca = c.data
-    if c.rows == 1:   # every unit vector gives the same point
+    contains, theta, support, y = _zero_in_range(c.data, tol)
+    return contains, SeparationCertificate(theta, support, tol), y
+
+
+def _zero_in_range(ca: np.ndarray, tol: float):
+    """zero_in_numerical_range on a raw square array, float64 for the real
+    field: (contains_zero, theta, support, y)."""
+    if ca.shape[0] == 1:   # every unit vector gives the same point
         z = complex(ca[0, 0])
         support = abs(z)
         theta = -cmath.phase(z) % (2.0 * math.pi)
-        return support <= tol, SeparationCertificate(theta, support, tol), np.ones(1, ca.dtype)
+        return support <= tol, theta, support, np.ones(1, ca.dtype)
 
-    if c.field is Field.REAL:
+    if not np.iscomplexobj(ca):
         w, v = np.linalg.eigh(0.5 * (ca + ca.T))
         lo, hi = float(w[0]), float(w[-1])
         theta, support = (0.0, lo) if lo >= -hi else (math.pi, -hi)
@@ -247,7 +268,7 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
             y /= np.linalg.norm(y)
         else:
             y = v[:, 0] if abs(lo) <= abs(hi) else v[:, -1]
-        return support <= tol, SeparationCertificate(theta, support, tol), y
+        return support <= tol, theta, support, y
 
     h1 = 0.5 * (ca + ca.conj().T)
     h2 = (ca - ca.conj().T) / 2j
@@ -260,7 +281,7 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     grid = np.arange(NR_GRID) * step
     rot = np.exp(1j * grid)[:, None, None] * ca
     stack = 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
-    if c.rows == 2:   # the Bloch-sphere solve needs no scan vectors
+    if ca.shape[0] == 2:   # the Bloch-sphere solve needs no scan vectors
         mins, y = np.linalg.eigvalsh(stack)[:, 0], _bloch_zero(ca)
     else:
         w, v = np.linalg.eigh(stack)
@@ -273,7 +294,7 @@ def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     if -neg_m > best_m:
         best_theta, best_m = theta, -neg_m
 
-    return best_m <= tol, SeparationCertificate(best_theta % (2.0 * math.pi), best_m, tol), y
+    return best_m <= tol, best_theta % (2.0 * math.pi), best_m, y
 
 
 def _fan_zero(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -370,15 +391,15 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
 
     meter = _Budget(budget)
     meter.spend()
-    norm_a = math.sqrt(_sigma_max_sq(a.data))
+    norm_a = operator_norm(a)
     meter.spend()
-    norm_b = math.sqrt(_sigma_max_sq(b.data))
-    lam0 = complex(0.0) if complex_field else 0.0
+    norm_b = operator_norm(b)
+    lam = complex(0.0) if complex_field else 0.0   # a float over the reals throughout
     if norm_a == 0.0 or norm_b == 0.0:
         # phi(x) = ||a x|| on the top vector of a, which is ||a||; for a = 0
         # every phi vanishes, and that top vector is the first basis vector
         x = _top_band(a.data, _BAND_FLOOR)[1][:, 0]
-        return _result(a, b, norm_a, lam0, meter, x, "converged")
+        return _result(a, b, norm_a, lam, meter, x, "converged")
 
     # Work on A/||A||, B/||A||: the search trajectory then depends only on
     # the scale-free shape of the pencil and on the stop target below.  That
@@ -395,29 +416,37 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     stop = min(tol / unit, 1e-9) / 10.0
     xtol = 1e-15 * radius   # rounding floor; each line ends on its value stop first
 
-    def f(lam: complex) -> float:
-        return math.sqrt(_sigma_max_sq(aa + (lam if complex_field else lam.real) * ba))
+    # ||aa + lam*ba|| from the top eigenvalue of the Gram matrix, as operator_norm
+    if complex_field:
+        def f(lam: complex) -> float:
+            p = aa + lam * ba
+            return math.sqrt(max(float(np.linalg.eigvalsh(p.conj().T @ p)[-1]), 0.0))
+    else:
+        def f(lam: float) -> float:
+            p = aa + lam * ba
+            return math.sqrt(max(float(np.linalg.eigvalsh(p.T @ p)[-1]), 0.0))
 
-    lam, val = 0j, 1.0   # the lambda = 0 objective in normalized units, exactly
+    val = 1.0   # the lambda = 0 objective in normalized units, exactly
     lower, cert = -1.0, None
     band = _BAND_START
     stop_reason = "budget"
     while meter.spend() or cert is None:   # the first band always runs
-        p = aa + (lam if complex_field else lam.real) * ba
+        p = aa + lam * ba
         x = _top_band(p, band)[1]
-        contains, sep, y = zero_in_numerical_range(Matrix(fld, _compression(p, ba, x)),
-                                                   band * norm_bn)
+        contains, theta, _, y = _zero_in_range(_compression(p, ba, x), band * norm_bn)
         moved = False
         if contains or cert is None:
             y = x @ y
-            phi = inner_inf(Vector(fld, aa @ y), Vector(fld, ba @ y)).value
+            phi = _line_inf(aa @ y, ba @ y)[0]
             if phi > lower:
                 lower, cert = phi, y
             if val - lower <= stop:
                 stop_reason = "converged"
                 break
         if not contains:
-            d = -cmath.exp(-1j * sep.theta)
+            d = -cmath.exp(-1j * theta)
+            if not complex_field:   # theta is 0 or pi, so d is -1 or 1
+                d = d.real
             center = lam
             t, ft, exhausted = _brent_line(lambda t: f(center + t * d), 0.0, 2.0 * radius,
                                            xtol, meter, 0.1 * stop)
@@ -431,16 +460,14 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
                 stop_reason = "stagnant"
                 break
 
-    lam_out = complex(lam) if complex_field else float(lam.real)
-    return _result(a, b, val * unit, lam_out, meter, cert, stop_reason)
+    return _result(a, b, val * unit, lam, meter, cert, stop_reason)
 
 
 def _result(a: Matrix, b: Matrix, value: float, lam, meter: _Budget, x: np.ndarray,
             stop_reason: str) -> LineMinResult:
     """LineMinResult whose lower bound is phi recomputed at x on (a, b)."""
-    cert = Vector(a.field, x)
-    lower = inner_inf(Vector(a.field, a.data @ x), Vector(a.field, b.data @ x)).value
-    return LineMinResult(value, lam, meter.used, lower, cert,
+    lower = _line_inf(a.data @ x, b.data @ x)[0]
+    return LineMinResult(value, lam, meter.used, lower, Vector(a.field, x),
                          stop_reason == "budget", stop_reason)
 
 

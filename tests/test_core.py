@@ -25,6 +25,7 @@ from bjorth import (
     rhs_inf_sup,
     top_singular_subspace,
 )
+from bjorth.core import _top_band
 
 
 def cmat(rows) -> Matrix:
@@ -338,6 +339,29 @@ def test_top_subspace_vectors_achieve_norm():
     assert_canonical_phase(top_singular_subspace(cmat(np.diag([2.0, 2.0, 1.0]))).top_subspace)
     assert_canonical_phase(top_singular_subspace(
         Matrix(Field.REAL, _oracles.seeded(4, 44, complex_field=False))).top_subspace)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_top_band_spans_the_kink_subspace(complex_field, k):
+    # the solver's band keeps the phases LAPACK gives it; its projector is
+    # the one onto the top singular subspace, and each column is the
+    # phase-fixed public basis vector up to a unit scalar
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    n = k + 2
+    for seed in range(5):
+        u = _oracles.haar_unitary(n, 700 + seed, complex_field)
+        v = _oracles.haar_unitary(n, 800 + seed, complex_field)
+        a = (u * np.array([1.0] * k + [0.7, 0.3])) @ v.conj().T
+        smax, x = _top_band(a, 1e-8)
+        assert x.shape == (n, k)
+        assert smax == pytest.approx(1.0, abs=1e-14)
+        proj = x @ x.conj().T
+        assert np.linalg.norm(proj - v[:, :k] @ v[:, :k].conj().T) <= 1e-12
+        basis = np.stack([vec.data for vec in top_singular_subspace(Matrix(fld, a)).top_subspace],
+                         axis=1)
+        assert np.linalg.norm(proj - basis @ basis.conj().T) <= 1e-12
+        assert np.abs(np.sum(x.conj() * basis, axis=0)) == pytest.approx(np.ones(k), abs=1e-12)
 
 
 def test_top_subspace_unitary_invariance_of_norm():

@@ -251,9 +251,12 @@ def test_global_inf_zero_direction():
 
 
 def test_global_inf_zero_base():
-    res = global_inf_lambda(rmat(np.zeros((2, 2))), rmat(np.eye(2)))
-    assert res.value == 0.0
-    assert res.lambda_star == 0.0
+    for fld in (Field.REAL, Field.COMPLEX):
+        res = global_inf_lambda(Matrix(fld, np.zeros((2, 2))), Matrix(fld, np.eye(2)))
+        assert res.value == 0.0
+        assert res.lambda_star == 0.0
+        # every phi vanishes; the certificate is the first basis vector
+        np.testing.assert_array_equal(res.certificate.data, [1.0, 0.0])
 
 
 def test_global_inf_rejects_bad_input():
@@ -468,6 +471,41 @@ def test_numerical_range_vector_attains_support_outside(complex_field, k):
         assert not contains
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
         assert abs(abs(np.vdot(y, c @ y)) - cert.support) <= 1e-12 * np.linalg.norm(c)
+
+
+# ------------------------------------------- public wrappers and array kernels
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_numerical_range_wrapper_returns_its_kernel(complex_field, k):
+    # the distance solver calls the array kernel on raw compressions; the
+    # public function must answer exactly as it does, zero inside or outside
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    for seed in range(6):
+        c = _oracles.seeded(k, 900 + seed, complex_field)
+        c = c - np.trace(c) / k * np.eye(k)   # traceless: zero inside
+        outside = seed % 2 == 1
+        if outside:
+            c = c + (np.linalg.norm(c) + 1.0) * np.eye(k)
+        for tol in (None, 1e-3):
+            contains, cert, y = zero_in_numerical_range(Matrix(fld, c), tol)
+            k_contains, theta, support, k_y = lineopt_module._zero_in_range(c, cert.tol)
+            assert contains == k_contains == (not outside)
+            assert (cert.theta, cert.support) == (theta, support)
+            np.testing.assert_array_equal(y, k_y)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_inner_inf_returns_its_kernel(complex_field):
+    fld = Field.COMPLEX if complex_field else Field.REAL
+    for seed in range(10):
+        u = seeded_vec(4, 300 + seed, complex_field)
+        v = seeded_vec(4, 400 + seed, complex_field) * (seed > 0)   # seed 0: v = 0
+        res = inner_inf(Vector(fld, u), Vector(fld, v))
+        value, lam = lineopt_module._line_inf(u, v)
+        assert res.value == res.lower_bound == value
+        assert res.lambda_star == lam
 
 
 # ------------------------------------------------------------ limit_lemma_check
