@@ -5,6 +5,7 @@ stdout carries exactly one JSON document per invocation (all documents carry
 Exit codes: 0 success (for check/witness: ORTHOGONAL), 1 NOT_ORTHOGONAL or
 witness-search shortfall (an outcome, not an error), 2 input error,
 3 numerical failure (exhausted budgets, boundary verdicts, suite failures).
+Only `core` is imported up front; each command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,15 +15,11 @@ import json
 import os
 import sys
 
-from .core import ConvergenceError, Field, InputError, Matrix, operator_norm
-from .decision import Status, Witness, decide, epsilon_witness, find_witness
-from .harness import (SCHEMA_VERSION, SuiteConfig, Tolerances, gen_ginibre,
-                      gen_orthogonal_pair, run_suite, save_csv, save_report)
-from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
-from .minimax import minimax_report
+from .core import (DEFAULT_BUDGET, DEFAULT_TOL, SCHEMA_VERSION, ConvergenceError, Field,
+                   InputError, Matrix, operator_norm)
 
-_EXIT_BY_STATUS = {Status.ORTHOGONAL: 0, Status.NOT_ORTHOGONAL: 1,
-                   Status.BOUNDARY: 3}
+# keyed by Status value, so that the table needs no import of `decision`
+_EXIT_BY_STATUS = {"ORTHOGONAL": 0, "NOT_ORTHOGONAL": 1, "BOUNDARY": 3}
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -32,6 +29,10 @@ def _load_matrix(path: str) -> Matrix:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return Matrix.from_json(text)
+
+
+def _load_pair(args) -> tuple:
+    return _load_matrix(args.a), _load_matrix(args.b)
 
 
 def _resolve_seed(args) -> int:
@@ -49,6 +50,7 @@ def _resolve_seed(args) -> int:
 def _emit(path: str | None, obj: dict) -> None:
     """Write obj as indented, key-sorted JSON to the file path, or to stdout."""
     if path:
+        from .harness import save_report
         save_report(obj, path)
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
@@ -70,7 +72,7 @@ def _cert_json(cert) -> dict | None:
     return {"theta": cert.theta, "support": cert.support, "tol": cert.tol}
 
 
-def _witness_json(w: Witness) -> dict:
+def _witness_json(w) -> dict:
     return {"x": w.x.to_pairs(), "norm_residual": w.norm_residual,
             "ip_residual": w.ip_residual, "epsilon": w.epsilon}
 
@@ -85,8 +87,8 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    from .lineopt import global_inf_lambda
+    a, b = _load_pair(args)
     res = global_inf_lambda(a, b, tol=args.tol, budget=args.budget)
     _emit(args.out, {"schema_version": SCHEMA_VERSION, "value": res.value,
                      "lambda": _lam_pair(res.lambda_star),
@@ -99,8 +101,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    from .decision import decide
+    a, b = _load_pair(args)
     rep = decide(a, b, method=args.method, tol=args.tol)
     v = rep.verdict
     _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": v.status.value,
@@ -110,31 +112,25 @@ def _cmd_check(args) -> int:
                      "witness_error": rep.witness_error})
     _say(args, f"{v.status.value}" + (f" (margin = {v.margin:.6g})"
                                       if v.margin is not None else ""))
-    return _EXIT_BY_STATUS[v.status]
+    return _EXIT_BY_STATUS[v.status.value]
 
 
 def _cmd_witness(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    from .decision import Witness, epsilon_witness, find_witness
+    a, b = _load_pair(args)
+    out = find_witness(a, b) if args.eps is None else epsilon_witness(a, b, args.eps)
+    if isinstance(out, Witness):
+        _emit(args.out, {"schema_version": SCHEMA_VERSION,
+                         "status": "ORTHOGONAL", **_witness_json(out)})
+        _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
+        return 0
     if args.eps is not None:
-        out = epsilon_witness(a, b, args.eps)
-        if isinstance(out, Witness):
-            _emit(args.out, {"schema_version": SCHEMA_VERSION,
-                             "status": "ORTHOGONAL", **_witness_json(out)})
-            _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
-            return 0
         _emit(args.out, {"schema_version": SCHEMA_VERSION, "failed": True,
                          "best_value": out.best_value, "threshold": out.threshold,
                          "x": out.best_x.to_pairs()})
         _say(args, f"no witness: best value {out.best_value:.6g} "
                    f"below threshold {out.threshold:.6g}")
         return 1
-    out = find_witness(a, b)
-    if isinstance(out, Witness):
-        _emit(args.out, {"schema_version": SCHEMA_VERSION,
-                         "status": "ORTHOGONAL", **_witness_json(out)})
-        _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
-        return 0
     _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": out.status.value,
                      "margin": out.margin, "method": out.method.value,
                      "tol": out.tol, "certificate": _cert_json(out.certificate)})
@@ -143,8 +139,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_minimax(args) -> int:
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    from .minimax import minimax_report
+    a, b = _load_pair(args)
     rep = minimax_report(a, b, tol=args.tol)
     _emit(args.out, {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()})
     _say(args, f"lhs = {rep.lhs_value:.12g}, rhs = {rep.rhs_value:.12g}, "
@@ -156,7 +152,8 @@ _CONFIG_KEYS = {"dims", "trials_per_dim", "seed", "field", "tolerances"}
 _TOL_KEYS = {"decision_tol", "gap_tol", "witness_eps"}
 
 
-def _suite_config(args) -> SuiteConfig:
+def _suite_config(args):
+    from .harness import SuiteConfig, Tolerances
     d = {}
     if args.config:
         try:
@@ -191,6 +188,7 @@ def _suite_config(args) -> SuiteConfig:
 
 
 def _cmd_suite(args) -> int:
+    from .harness import run_suite, save_csv
     cfg = _suite_config(args)
     report = run_suite(cfg)
     _emit(args.out, report)
@@ -209,6 +207,7 @@ def _matrix_doc(m: Matrix) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    from .harness import gen_ginibre, gen_orthogonal_pair
     seed = _resolve_seed(args)
     field = Field.parse(args.field)
     if args.kind == "ginibre":

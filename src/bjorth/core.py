@@ -17,6 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCHEMA_VERSION = 1         # of every JSON document the CLI and the suite write
+DEFAULT_TOL = 1e-7         # decision and distance-solver tolerance
+DEFAULT_BUDGET = 100_000   # norm evaluations per distance solve
+
+
 class InputError(ValueError):
     """Raised for malformed inputs: bad shapes, non-finite entries, bad tags."""
 

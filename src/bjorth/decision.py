@@ -12,18 +12,15 @@ numerical range of the compression of B*A to the top singular subspace of A.
 from __future__ import annotations
 
 import enum
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._sphere import multistart_minimize  # noqa: F401  (bench/spans.py traces it here)
-from .core import (ConvergenceError, InputError, Matrix, Vector, inner,
+from .core import (DEFAULT_TOL, ConvergenceError, InputError, Matrix, Vector, inner,
                    operator_norm, top_singular_subspace, _check_pair)
 from .lineopt import (SeparationCertificate, _compression, global_inf_lambda, inner_inf,
                       zero_in_numerical_range)
-
-log = logging.getLogger("bjorth")
 
 # zero counts as inside the compression's numerical range within this share
 # of ||A|| * ||B||
@@ -105,7 +102,7 @@ class WitnessFailure:
     best_x: Vector
 
 
-def check_definitional(a: Matrix, b: Matrix, tol: float = 1e-7) -> Verdict:
+def check_definitional(a: Matrix, b: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide orthogonality straight from the norm-minimization definition.
 
     ORTHOGONAL when inf over lambda of ||a + lambda*b|| >= ||a|| - tol.
@@ -193,6 +190,11 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float):
                           best_x=dist.certificate)
 
 
+def _warn(msg: str, *args) -> None:
+    import logging   # here, not at the top: only these rare branches need it
+    logging.getLogger("bjorth").warning(msg, *args)
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     """Combined outcome of the requested decision routes."""
@@ -205,7 +207,7 @@ class DecisionReport:
 
 
 def decide(a: Matrix, b: Matrix, *, method: str = "both",
-           tol: float = 1e-7) -> DecisionReport:
+           tol: float = DEFAULT_TOL) -> DecisionReport:
     """Run the definitional route, the witness route, or both.
 
     When both run and disagree inside the band |margin| <= 10*tol the combined
@@ -242,7 +244,7 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both",
         return DecisionReport(witv, None, witv, witness)
 
     if witv is None:
-        log.warning("witness route inconclusive (%s); reporting definitional verdict", werr)
+        _warn("witness route inconclusive (%s); reporting definitional verdict", werr)
         return DecisionReport(defv, defv, None, None, witness_error=werr)
     if witv.status is defv.status:
         return DecisionReport(defv, defv, witv, witness)
@@ -250,8 +252,8 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both",
         combined = Verdict(status=Status.BOUNDARY, margin=defv.margin,
                            method=Method.DEFINITIONAL, tol=tol,
                            certificate=witv.certificate)
-        log.warning("routes disagree inside the boundary band: margin=%.3e", defv.margin)
+        _warn("routes disagree inside the boundary band: margin=%.3e", defv.margin)
         return DecisionReport(combined, defv, witv, witness)
-    log.warning("routes disagree outside the boundary band: margin=%.3e, witness says %s",
-                defv.margin, witv.status.value)
+    _warn("routes disagree outside the boundary band: margin=%.3e, witness says %s",
+          defv.margin, witv.status.value)
     return DecisionReport(defv, defv, witv, witness)

@@ -18,19 +18,18 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import statistics
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import Field, InputError, Matrix, inner, operator_norm, top_singular_subspace
+from .core import (SCHEMA_VERSION, Field, InputError, Matrix, inner, operator_norm,
+                   top_singular_subspace)
 from .decision import Status, Witness, decide, find_witness
 from .minimax import minimax_report
 
 log = logging.getLogger("bjorth")
 
-SCHEMA_VERSION = 1
 _SEED_MASK = 2**64 - 1
 
 # stream indices reserved per sub-suite so their draws never overlap
@@ -236,7 +235,7 @@ def _aggregate(records: list) -> dict:
         "minimax": {
             "trials": len(mm),
             "max_rel_gap": max(gaps) if gaps else None,
-            "median_rel_gap": statistics.median(gaps) if gaps else None,
+            "median_rel_gap": float(np.median(gaps)) if gaps else None,
         },
         "agreement": {
             "trials": len(ag),

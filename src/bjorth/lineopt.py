@@ -43,12 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Field, InputError, Matrix, Vector, _check_pair, _top_band,
-                   operator_norm)
+from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector,
+                   _check_pair, _top_band, operator_norm)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
-DEFAULT_TOL = 1e-7
-DEFAULT_BUDGET = 100_000
 NR_GRID = 720   # coarse angles scanned before local refinement
 # Width of the refined angle bracket.  Where the range point nearest zero
 # lies inside a flat edge, m(theta) has a kink at its maximum and an angle

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize
-from .core import Field, InputError, Matrix, Vector, _check_pair, _top_band
+from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector,
+                   _check_pair, _top_band)
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
-from .lineopt import DEFAULT_BUDGET, DEFAULT_TOL, global_inf_lambda
+from .lineopt import global_inf_lambda
 
 GAP_TOL = 1e-4   # default relative duality-gap target
 

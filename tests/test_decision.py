@@ -120,6 +120,14 @@ def test_definitional_verdict_reads_unconverged_certificate(monkeypatch):
     assert check_definitional(a, b).status is not Status.ORTHOGONAL
 
 
+@pytest.mark.xfail(strict=True, reason="D5: a tol below rounding gives a definite verdict")
+def test_definitional_verdict_tol_below_rounding():
+    # the pair is orthogonal by construction; at tol = 1e-16 the computed
+    # margin -1.33e-15 (about 2 ulp of ||A|| = 2.82) reads as NOT_ORTHOGONAL
+    v = check_definitional(*gen_orthogonal_pair(5, 978, Field.REAL), tol=1e-16)
+    assert v.status is not Status.NOT_ORTHOGONAL
+
+
 # --------------------------------------------------------------- vector check
 
 
