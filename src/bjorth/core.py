@@ -167,12 +167,12 @@ class Vector:
         return [[float(np.real(z)), float(np.imag(z))] for z in self.data]
 
 
-def _check_pair(a, b, *, square: bool = False) -> Field:
+def _check_pair(a, b) -> Field:
     """Validate two operands of one pair and return their common field.
 
     The operands are two Matrix or two Vector objects.  They must carry the
-    same field tag and have equal shapes; with square=True the matrices must
-    also be square.
+    same field tag and have equal shapes.  This is the only shape rule of
+    every pair route: any m x n matrix pair is accepted, square or not.
     """
     if a.field is not b.field:
         raise InputError("operands carry different field tags")
@@ -182,8 +182,6 @@ def _check_pair(a, b, *, square: bool = False) -> Field:
         return a.field
     if a.shape != b.shape:
         raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if square and not a.is_square():
-        raise InputError(f"square matrices required, got {a.shape}")
     return a.field
 
 

@@ -142,7 +142,7 @@ def find_witness(a: Matrix, b: Matrix):
     is searched.  Raises WitnessSearchError when the numerical range says a
     witness should exist but the constructed vector misses the threshold.
     """
-    _check_pair(a, b, square=True)
+    _check_pair(a, b)
     sd = top_singular_subspace(a)
     scale = sd.op_norm * operator_norm(b)
     eps = 1e-8 * scale
@@ -175,7 +175,7 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float):
     threshold, and otherwise a WitnessFailure reports best_x = x and
     best_value = phi(x).  No search is run.
     """
-    _check_pair(a, b, square=True)
+    _check_pair(a, b)
     sigma_a = operator_norm(a)
     if sigma_a == 0.0:
         raise InputError("epsilon_witness needs a nonzero first matrix")

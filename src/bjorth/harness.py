@@ -15,9 +15,7 @@ reports from identical configurations compare equal after dropping that key.
 
 from __future__ import annotations
 
-import csv
 import json
-import logging
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -25,10 +23,6 @@ import numpy as np
 
 from .core import (SCHEMA_VERSION, Field, InputError, Matrix, inner, operator_norm,
                    top_singular_subspace)
-from .decision import Status, Witness, decide, find_witness
-from .minimax import minimax_report
-
-log = logging.getLogger("bjorth")
 
 _SEED_MASK = 2**64 - 1
 
@@ -126,7 +120,12 @@ def _pair_for(cfg: SuiteConfig, dim: int, trial: int, suite: str):
     return ts, a, b
 
 
+# Each function below imports the solver modules it runs, so that
+# generating matrices (`bjorth gen`) and `save_report` load only core.
+
+
 def _minimax_trial(cfg: SuiteConfig, dim: int, trial: int):
+    from .minimax import minimax_report
     ts, a, b = _pair_for(cfg, dim, trial, "minimax")
     rec = {"suite": "minimax", "dim": dim, "trial": trial, "seed": ts}
     try:
@@ -143,6 +142,7 @@ def _minimax_trial(cfg: SuiteConfig, dim: int, trial: int):
 
 
 def _agreement_trial(cfg: SuiteConfig, dim: int, trial: int):
+    from .decision import Status, decide
     ts, a, b = _pair_for(cfg, dim, trial, "agreement")
     tols = cfg.tolerances
     rec = {"suite": "agreement", "dim": dim, "trial": trial, "seed": ts}
@@ -167,6 +167,7 @@ def _agreement_trial(cfg: SuiteConfig, dim: int, trial: int):
 
 
 def _witness_quality_trial(cfg: SuiteConfig, dim: int, trial: int):
+    from .decision import Witness, find_witness
     ts = trial_seed(cfg.seed, dim, trial, _STREAM["witness_quality"])
     a, b = gen_orthogonal_pair(dim, ts, cfg.field)
     tols = cfg.tolerances
@@ -196,6 +197,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     key.  Failed trials are embedded in "failures" with both matrices
     serialized, so each one can be replayed directly.
     """
+    import logging
     trials = {"minimax": _minimax_trial, "agreement": _agreement_trial,
               "witness_quality": _witness_quality_trial}
     records = []
@@ -204,7 +206,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
     for suite, fn in trials.items():
         t0 = time.perf_counter()
         for dim in cfg.dims:
-            log.info("suite %s dim %d", suite, dim)
+            logging.getLogger("bjorth").info("suite %s dim %d", suite, dim)
             for trial in range(cfg.trials_per_dim):
                 rec, bad = fn(cfg, dim, trial)
                 records.append(rec)
@@ -267,6 +269,7 @@ _CSV_COLUMNS = ("dim", "trial", "suite", "verdict", "margin", "gap",
 
 def save_csv(report: dict, path: str) -> None:
     """Flat per-trial table; cells that do not apply to a sub-suite stay empty."""
+    import csv
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_COLUMNS)

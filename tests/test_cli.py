@@ -123,6 +123,28 @@ def test_minimax(diag_pair, capsys):
     assert doc["restart_starved"] is False
 
 
+@pytest.mark.parametrize("kind", ["random", "orthogonal"])
+def test_rectangular_pair_routes_match_padded_pair(tmp_path, capsys, kind):
+    # a real 2 x 3 pair and the same pair padded with a zero row to 3 x 3:
+    # each command decides both, with the same exit code and status
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    if kind == "orthogonal":   # A attains its norm at e1, where B vanishes
+        a = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b[:, 0] = 0.0
+    files = {}
+    for shape, rows in (("wide", 2), ("square", 3)):
+        pad = np.zeros((rows - 2, 3))
+        files[shape] = (write_mat(tmp_path, f"{shape}.a.json", np.vstack([a, pad]), "real"),
+                        write_mat(tmp_path, f"{shape}.b.json", np.vstack([b, pad]), "real"))
+    expected = {"random": (1, 1, 0), "orthogonal": (0, 0, 0)}[kind]
+    for cmd, want in zip(("check", "witness", "minimax"), expected):
+        code, doc, _ = run(capsys, [cmd, *files["wide"]])
+        square_code, square_doc, _ = run(capsys, [cmd, *files["square"]])
+        assert (code, square_code) == (want, want), cmd
+        assert doc.get("status") == square_doc.get("status"), cmd
+
+
 def test_suite_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [2], "trials_per_dim": 1, "seed": 3,

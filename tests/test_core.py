@@ -429,12 +429,12 @@ def test_pair_validation_messages_shared_by_callers():
         (check_definitional, (r2, r3), r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
         (global_inf_lambda, (r2, c2), "operands carry different field tags"),
         (global_inf_lambda, (r2, r3), r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
-        (find_witness, (wide, wide), r"square matrices required, got \(2, 3\)"),
-        (epsilon_witness, (wide, wide, 0.1), r"square matrices required, got \(2, 3\)"),
+        (find_witness, (r2, c2), "operands carry different field tags"),
+        (find_witness, (wide, r3), r"shape mismatch: \(2, 3\) vs \(3, 3\)"),
+        (epsilon_witness, (wide, r3, 0.1), r"shape mismatch: \(2, 3\) vs \(3, 3\)"),
         (minimax_report, (r2, c2), "operands carry different field tags"),
-        (minimax_report, (wide, wide), r"square matrices required, got \(2, 3\)"),
-        (rhs_inf_sup, (rmat([[1.0]]), rmat([[2.0]])),
-         "the minimax identity needs dimension at least 2"),
+        (minimax_report, (wide, r3), r"shape mismatch: \(2, 3\) vs \(3, 3\)"),
+        (rhs_inf_sup, (r2, c2), "operands carry different field tags"),
         (inner_inf, (Vector(Field.REAL, [1.0]), Vector(Field.REAL, [1.0, 0.0])),
          "dimension mismatch: 1 vs 2"),
         (inner_inf, (Vector(Field.REAL, [1.0]), Vector(Field.COMPLEX, [1.0])),

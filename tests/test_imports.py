@@ -112,6 +112,14 @@ def test_check_command_skips_harness_and_minimax(pair_files):
     assert not loaded & {"bjorth.harness", "bjorth.minimax"}
 
 
+def test_gen_command_skips_the_solvers():
+    loaded = package_modules(imported_by(["-m", "bjorth", "gen", "--kind", "ginibre",
+                                          "--n", "3"]))
+    assert "bjorth.harness" in loaded
+    assert not loaded & {"bjorth.decision", "bjorth.lineopt", "bjorth.minimax",
+                         "bjorth._sphere"}
+
+
 # ------------------------------------------------------------ lazy namespace
 
 

@@ -69,11 +69,16 @@ def test_report_json_keys():
 
 def test_validation():
     with pytest.raises(InputError):
-        minimax_report(cmat([[1.0]]), cmat([[1.0]]))      # dimension 1
-    with pytest.raises(InputError):
-        minimax_report(rmat([[1.0, 0.0]]), rmat([[1.0, 0.0]]))
-    with pytest.raises(InputError):
         lhs_sup_inf(rmat(np.eye(2)), cmat(np.eye(2)))
+
+
+def test_report_on_one_row_pairs():
+    # B = A, so lambda = -1 reaches zero and both sides of the identity vanish
+    for a in (cmat([[1.0]]), rmat([[1.0, 0.0]])):
+        rep = minimax_report(a, a)
+        assert rep.rhs_value == pytest.approx(0.0, abs=1e-9)
+        assert rep.lhs_value == pytest.approx(0.0, abs=1e-9)
+        assert not rep.restart_starved
 
 
 def test_weak_duality_random_pairs():
