@@ -66,10 +66,11 @@ def _lam_pair(lam) -> list:
     return [z.real, z.imag]
 
 
-def _cert_json(cert) -> dict | None:
-    if cert is None:
-        return None
-    return {"theta": cert.theta, "support": cert.support, "tol": cert.tol}
+def _verdict_json(v) -> dict:
+    c = v.certificate
+    return {"status": v.status.value, "margin": v.margin, "method": v.method.value,
+            "tol": v.tol, "certificate": None if c is None else
+            {"theta": c.theta, "support": c.support, "tol": c.tol}}
 
 
 def _witness_json(w) -> dict:
@@ -105,9 +106,7 @@ def _cmd_check(args) -> int:
     a, b = _load_pair(args)
     rep = decide(a, b, method=args.method, tol=args.tol)
     v = rep.verdict
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": v.status.value,
-                     "margin": v.margin, "method": v.method.value, "tol": v.tol,
-                     "certificate": _cert_json(v.certificate),
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, **_verdict_json(v),
                      "witness": _witness_json(rep.witness) if rep.witness else None,
                      "witness_error": rep.witness_error})
     _say(args, f"{v.status.value}" + (f" (margin = {v.margin:.6g})"
@@ -131,9 +130,7 @@ def _cmd_witness(args) -> int:
         _say(args, f"no witness: best value {out.best_value:.6g} "
                    f"below threshold {out.threshold:.6g}")
         return 1
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, "status": out.status.value,
-                     "margin": out.margin, "method": out.method.value,
-                     "tol": out.tol, "certificate": _cert_json(out.certificate)})
+    _emit(args.out, {"schema_version": SCHEMA_VERSION, **_verdict_json(out)})
     _say(args, "no witness exists: pair is not orthogonal")
     return 1
 
@@ -171,17 +168,9 @@ def _suite_config(args):
     tol_d = d.get("tolerances", {})
     if not isinstance(tol_d, dict) or set(tol_d) - _TOL_KEYS:
         raise InputError(f"tolerances must be an object with keys from {sorted(_TOL_KEYS)}")
-    if args.seed is not None:
-        seed = args.seed                  # explicit flag beats the config file
-    elif "seed" in d:
-        seed = d["seed"]
-    else:
-        seed = _resolve_seed(args)
-    kw = {}
-    if "dims" in d:
-        kw["dims"] = tuple(d["dims"])
-    if "trials_per_dim" in d:
-        kw["trials_per_dim"] = d["trials_per_dim"]
+    # an explicit --seed beats the config file, which beats $BJORTH_SEED
+    seed = d["seed"] if args.seed is None and "seed" in d else _resolve_seed(args)
+    kw = {key: d[key] for key in ("dims", "trials_per_dim") if key in d}
     if "field" in d:
         kw["field"] = Field.parse(d["field"])
     return SuiteConfig(seed=seed, tolerances=Tolerances(**tol_d), **kw)
@@ -290,10 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="also write the flat per-trial CSV")
     sp.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
-    sp.add_argument("--out", default=None, metavar="FILE",
-                    help="write the report JSON to FILE instead of stdout")
-    sp.add_argument("--summary", action="store_true",
-                    help="print a one-line summary to stderr")
+    common(sp)
     sp.set_defaults(func=_cmd_suite)
 
     sp = sub.add_parser("gen", help="generate seeded random matrices")

@@ -7,6 +7,9 @@ vector x that attains the norm of A and is sent by A and B to orthogonal
 images; in finite dimension such a witness exists exactly when the pair is
 orthogonal, and the search reduces to asking whether zero lies in the
 numerical range of the compression of B*A to the top singular subspace of A.
+
+Each public function validates its pair once, into a core _Pair holding
+||A|| and ||B||, for the private route kernels; `decide` shares one.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize  # noqa: F401  (bench/spans.py traces it here)
-from .core import (DEFAULT_TOL, ConvergenceError, InputError, Matrix, Vector, inner,
-                   operator_norm, top_singular_subspace, _check_pair)
-from .lineopt import (SeparationCertificate, _compression, global_inf_lambda, inner_inf,
+from .core import (DEFAULT_BUDGET, DEFAULT_TOL, ConvergenceError, InputError, Matrix, Vector,
+                   inner, operator_norm, top_singular_subspace, _Pair)
+from .lineopt import global_inf_lambda  # noqa: F401  (bench/spans.py traces it here)
+from .lineopt import (SeparationCertificate, _compression, _solve, inner_inf,
                       zero_in_numerical_range)
 
 # zero counts as inside the compression's numerical range within this share
@@ -57,7 +61,7 @@ class Verdict:
     """
 
     status: Status
-    margin: object
+    margin: float | None
     method: Method
     tol: float
     certificate: SeparationCertificate | None = None
@@ -107,11 +111,14 @@ def check_definitional(a: Matrix, b: Matrix, tol: float = DEFAULT_TOL) -> Verdic
 
     ORTHOGONAL when inf over lambda of ||a + lambda*b|| >= ||a|| - tol.
     """
-    _check_pair(a, b)
+    return _definitional(_Pair.of(a, b), tol)
+
+
+def _definitional(pair: _Pair, tol: float) -> Verdict:
     if not (0.0 < tol < 1.0):
         raise InputError(f"tol must lie in (0, 1), got {tol}")
-    res = global_inf_lambda(a, b, tol=min(tol * 0.1, 1e-7))
-    margin = min(res.value - operator_norm(a), 0.0)
+    res = _solve(pair, min(tol * 0.1, 1e-7), DEFAULT_BUDGET)
+    margin = min(res.value - pair.norm_a, 0.0)
     status = Status.ORTHOGONAL if margin >= -tol else Status.NOT_ORTHOGONAL
     return Verdict(status=status, margin=margin, method=Method.DEFINITIONAL, tol=tol)
 
@@ -142,25 +149,32 @@ def find_witness(a: Matrix, b: Matrix):
     is searched.  Raises WitnessSearchError when the numerical range says a
     witness should exist but the constructed vector misses the threshold.
     """
-    _check_pair(a, b)
-    sd = top_singular_subspace(a)
-    scale = sd.op_norm * operator_norm(b)
+    verdict, witness = _witness_route(_Pair.of(a, b))
+    return verdict if witness is None else witness
+
+
+def _witness_route(pair: _Pair):
+    """find_witness on a validated pair: the route's Verdict, whose tol is
+    the numerical-range threshold in either outcome, and the Witness or None."""
+    scale = pair.norm_a * pair.norm_b
     eps = 1e-8 * scale
     nr_tol = _NR_REL_TOL * scale
+    a, b = pair.a, pair.b
 
-    basis = np.column_stack([vec.data for vec in sd.top_subspace])
+    basis = np.column_stack([vec.data for vec in top_singular_subspace(a).top_subspace])
     contains, cert, y = zero_in_numerical_range(
-        Matrix(a.field, _compression(a.data, b.data, basis)), nr_tol)
+        Matrix(pair.field, _compression(a.data, b.data, basis)), nr_tol)
     if not contains:
         return Verdict(status=Status.NOT_ORTHOGONAL, margin=None,
-                       method=Method.WITNESS, tol=nr_tol, certificate=cert)
+                       method=Method.WITNESS, tol=nr_tol, certificate=cert), None
 
     witness = Witness.from_vector(a, b, basis @ y)
     if witness.epsilon > eps:
         raise WitnessSearchError(
             f"witness construction failed: residual {witness.epsilon:.3e} above {eps:.3e}",
             best_residual=witness.epsilon)
-    return witness
+    return Verdict(status=Status.ORTHOGONAL, margin=None, method=Method.WITNESS,
+                   tol=nr_tol), witness
 
 
 def epsilon_witness(a: Matrix, b: Matrix, eps: float):
@@ -175,15 +189,15 @@ def epsilon_witness(a: Matrix, b: Matrix, eps: float):
     threshold, and otherwise a WitnessFailure reports best_x = x and
     best_value = phi(x).  No search is run.
     """
-    _check_pair(a, b)
-    sigma_a = operator_norm(a)
+    pair = _Pair.of(a, b)
+    sigma_a = pair.norm_a
     if sigma_a == 0.0:
         raise InputError("epsilon_witness needs a nonzero first matrix")
     if not (0.0 < eps < sigma_a):
         raise InputError(f"eps must lie in (0, ||a||) = (0, {sigma_a:.6g}), got {eps}")
     threshold = sigma_a - eps
 
-    dist = global_inf_lambda(a, b)
+    dist = _solve(pair, DEFAULT_TOL, DEFAULT_BUDGET)
     if dist.lower_bound > threshold:
         return Witness.from_vector(a, b, dist.certificate.data)
     return WitnessFailure(best_value=dist.lower_bound, threshold=threshold,
@@ -217,26 +231,17 @@ def decide(a: Matrix, b: Matrix, *, method: str = "both",
     if method not in ("def", "witness", "both"):
         raise InputError(f"method must be 'def', 'witness' or 'both', got {method!r}")
 
-    defv = None
-    witv = None
-    witness = None
-    werr = None
+    pair = _Pair.of(a, b)
+    defv = witv = witness = werr = None
     if method in ("def", "both"):
-        defv = check_definitional(a, b, tol)
+        defv = _definitional(pair, tol)
     if method in ("witness", "both"):
         try:
-            out = find_witness(a, b)
+            witv, witness = _witness_route(pair)
         except WitnessSearchError as exc:
             if method == "witness":
                 raise
             werr = str(exc)
-        else:
-            if isinstance(out, Witness):
-                witness = out
-                witv = Verdict(status=Status.ORTHOGONAL, margin=None, method=Method.WITNESS,
-                               tol=_NR_REL_TOL * operator_norm(a) * operator_norm(b))
-            else:
-                witv = out
 
     if method == "def":
         return DecisionReport(defv, defv, None, None)

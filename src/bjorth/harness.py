@@ -16,6 +16,7 @@ reports from identical configurations compare equal after dropping that key.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -76,13 +77,23 @@ def trial_seed(seed: int, dim: int, trial: int, stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Pass/fail thresholds used by the suite."""
+    """Pass/fail thresholds used by the suite, each a positive finite number."""
 
     decision_tol: float = 1e-7
     gap_tol: float = 1e-4
     witness_eps: float = 1e-6
+
+    def __post_init__(self):
+        for name, value in self.to_json_dict().items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 < value < math.inf):
+                raise InputError(f"{name} must be a positive finite number, got {value!r}")
 
     def to_json_dict(self) -> dict:
         return {"decision_tol": self.decision_tol, "gap_tol": self.gap_tol,
@@ -98,10 +109,16 @@ class SuiteConfig:
     tolerances: Tolerances = dc_field(default_factory=Tolerances)
 
     def __post_init__(self):
+        if not isinstance(self.dims, (list, tuple)) or not all(map(_is_int, self.dims)):
+            raise InputError(f"dims must be a list of integers, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(self.dims))
         if not self.dims or any(d < 2 for d in self.dims):
             raise InputError("suite dimensions must all be at least 2")
-        if self.trials_per_dim < 1:
-            raise InputError("trials_per_dim must be positive")
+        if not _is_int(self.trials_per_dim) or self.trials_per_dim < 1:
+            raise InputError(f"trials_per_dim must be a positive integer, "
+                             f"got {self.trials_per_dim!r}")
+        if not _is_int(self.seed):
+            raise InputError(f"seed must be an integer, got {self.seed!r}")
 
     def to_json_dict(self) -> dict:
         return {

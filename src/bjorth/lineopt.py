@@ -33,6 +33,9 @@ each norm evaluation is one eigvalsh.  The band's columns keep the phases
 LAPACK gives them, which repeat for a fixed build and BLAS thread count.
 W(C) does not depend on them, but when zero lies inside, which of its
 zeros y the kernel picks can, and with it the certificate and the path.
+
+global_inf_lambda validates its pair once, into a core _Pair holding ||A||
+and ||B||, and runs the kernel _solve on it; the decision routes call _solve.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector,
-                   _check_pair, _top_band, operator_norm)
+                   _check_pair, _Pair, _top_band)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
 NR_GRID = 720   # coarse angles scanned before local refinement
@@ -382,22 +385,24 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     whether that, the budget, or the band floor ended it.  lambda = 0 is
     the start, so the result never exceeds ||a||.
     """
-    fld = _check_pair(a, b)
+    pair = _Pair.of(a, b)
     if tol <= 0.0:
         raise InputError("tol must be positive")
-    complex_field = fld is Field.COMPLEX
+    return _solve(pair, tol, budget)
 
+
+def _solve(pair: _Pair, tol: float, budget: int) -> LineMinResult:
+    """global_inf_lambda on a validated pair and a positive tol."""
+    complex_field = pair.field is Field.COMPLEX
     meter = _Budget(budget)
+    meter.spend()   # the pair's two norms count as evaluations
     meter.spend()
-    norm_a = operator_norm(a)
-    meter.spend()
-    norm_b = operator_norm(b)
     lam = complex(0.0) if complex_field else 0.0   # a float over the reals throughout
-    if norm_a == 0.0 or norm_b == 0.0:
+    if pair.norm_a == 0.0 or pair.norm_b == 0.0:
         # phi(x) = ||a x|| on the top vector of a, which is ||a||; for a = 0
         # every phi vanishes, and that top vector is the first basis vector
-        x = _top_band(a.data, _BAND_FLOOR)[1][:, 0]
-        return _result(a, b, norm_a, lam, meter, x, "converged")
+        x = _top_band(pair.a.data, _BAND_FLOOR)[1][:, 0]
+        return _result(pair, pair.norm_a, lam, meter, x, "converged")
 
     # Work on A/||A||, B/||A||: the search trajectory then depends only on
     # the scale-free shape of the pencil and on the stop target below.  That
@@ -406,10 +411,10 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     # there (cA, cB) retraces the steps of (A, B) and the result scales by
     # |c| to rounding accuracy.  Past it the target shrinks with 1/||A||, can
     # fall below rounding, and the solve may end "stagnant".
-    unit = norm_a
-    aa = a.data / unit
-    ba = b.data / unit
-    norm_bn = norm_b / unit
+    unit = pair.norm_a
+    aa = pair.a.data / unit
+    ba = pair.b.data / unit
+    norm_bn = pair.norm_b / unit
     radius = 2.0 / norm_bn
     stop = min(tol / unit, 1e-9) / 10.0
     xtol = 1e-15 * radius   # rounding floor; each line ends on its value stop first
@@ -458,14 +463,14 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
                 stop_reason = "stagnant"
                 break
 
-    return _result(a, b, val * unit, lam, meter, cert, stop_reason)
+    return _result(pair, val * unit, lam, meter, cert, stop_reason)
 
 
-def _result(a: Matrix, b: Matrix, value: float, lam, meter: _Budget, x: np.ndarray,
+def _result(pair: _Pair, value: float, lam, meter: _Budget, x: np.ndarray,
             stop_reason: str) -> LineMinResult:
-    """LineMinResult whose lower bound is phi recomputed at x on (a, b)."""
-    lower = _line_inf(a.data @ x, b.data @ x)[0]
-    return LineMinResult(value, lam, meter.used, lower, Vector(a.field, x),
+    """LineMinResult whose lower bound is phi recomputed at x on the pair."""
+    lower = _line_inf(pair.a.data @ x, pair.b.data @ x)[0]
+    return LineMinResult(value, lam, meter.used, lower, Vector(pair.field, x),
                          stop_reason == "budget", stop_reason)
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize
-from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, Matrix, Vector, _check_pair,
-                   _top_band)
+from .core import DEFAULT_BUDGET, DEFAULT_TOL, Field, Matrix, Vector, _Pair, _top_band
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
 from .lineopt import global_inf_lambda
 
@@ -76,14 +75,13 @@ def lhs_sup_inf(a: Matrix, b: Matrix, *, restarts: int = 50, seed: int = 0,
     the identity minus the accepted slack); reaching it ends the search
     early.
     """
-    _check_pair(a, b)
+    pair = _Pair.of(a, b)
     starts = list(_top_band(a.data, 1e-8)[1].T)
     if lambda_hint is not None:
-        pencil = Matrix(a.field, a.data + lambda_hint * b.data)
-        starts += list(_top_band(pencil.data, 1e-4)[1].T)
+        starts += list(_top_band(a.data + lambda_hint * b.data, 1e-4)[1].T)
     stop = -math.inf if stop_at is None else -(max(stop_at, 0.0) ** 2)
     neg_phi, x, used = multistart_minimize(
-        _neg_phi_fg(a.data, b.data), a.cols, complex_field=a.field is Field.COMPLEX,
+        _neg_phi_fg(a.data, b.data), a.cols, complex_field=pair.field is Field.COMPLEX,
         restarts=restarts, seed=seed, det_starts=starts, max_iter=400, stop_below=stop)
     return SupInfResult(value=math.sqrt(max(-neg_phi, 0.0)), x=Vector(a.field, x),
                         restarts=used)

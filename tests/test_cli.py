@@ -170,6 +170,17 @@ def test_suite_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown suite config keys" in err
 
 
+def test_suite_rejects_config_values_of_wrong_type(tmp_path, capsys):
+    # exit 2 (input error), never 1 (NOT_ORTHOGONAL) or 3 (suite failures)
+    cfg = tmp_path / "cfg.json"
+    for doc in ({"dims": 3}, {"trials_per_dim": "5"}, {"dims": ["a"]}, {"seed": "x"},
+                {"dims": [2.5]}, {"tolerances": {"gap_tol": "big"}}):
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["suite", "--config", str(cfg)])
+        assert (code, out) == (2, None), doc
+        assert err.startswith("error: "), doc
+
+
 def test_suite_seed_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dims": [2], "trials_per_dim": 1, "seed": 3}))

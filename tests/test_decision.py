@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import bjorth.core as core_module
 import bjorth.decision as decision_module
 from bjorth import (
     Field,
@@ -31,6 +32,7 @@ from bjorth import (
 )
 from bjorth.core import top_singular_subspace
 from bjorth.lineopt import _compression
+from bjorth.minimax import minimax_report
 
 
 def cmat(rows) -> Matrix:
@@ -112,9 +114,9 @@ def test_definitional_verdict_reads_unconverged_certificate(monkeypatch):
     # four evaluations leave the solve at lambda = 0 (value ||A|| = 3.674)
     # with lower bound 2.658, stopped on "budget"; the converged margin is
     # -0.27, so an ORTHOGONAL verdict from this solve is unfounded
-    solve = decision_module.global_inf_lambda
-    monkeypatch.setattr(decision_module, "global_inf_lambda",
-                        lambda a, b, **kw: solve(a, b, budget=4, **kw))
+    solve = decision_module._solve
+    monkeypatch.setattr(decision_module, "_solve",
+                        lambda pair, tol, budget: solve(pair, tol, 4))
     a = gen_ginibre(4, 11, Field.COMPLEX)
     b = gen_ginibre(4, 12, Field.COMPLEX)
     assert check_definitional(a, b).status is not Status.ORTHOGONAL
@@ -451,14 +453,59 @@ def test_decide_single_route_wiring():
 
 
 def test_decide_witness_route_stores_numerical_range_tol():
-    for a, b in ((3.0 * DIAG_A.data, 5.0 * DIAG_B.data), (2.0 * np.eye(2), np.eye(2))):
-        a, b = cmat(a), cmat(b)
-        nr_tol = 1e-9 * operator_norm(a) * operator_norm(b)
+    # both outcomes carry the one threshold 1e-9 * ||A|| * ||B||, formed
+    # from operator_norm's norms
+    pairs = [(cmat(3.0 * DIAG_A.data), cmat(5.0 * DIAG_B.data)),
+             (cmat(2.0 * np.eye(2)), cmat(np.eye(2)))]
+    for fld in (Field.REAL, Field.COMPLEX):
+        for n in range(2, 7):
+            for s in (600 + 10 * n, 602 + 10 * n):
+                pairs += [(gen_ginibre(n, s, fld), gen_ginibre(n, s + 1, fld)),
+                          gen_orthogonal_pair(n, s, fld)]
+    seen = set()
+    for a, b in pairs:
+        nr_tol = 1e-9 * (operator_norm(a) * operator_norm(b))
         for method in ("witness", "both"):
             witv = decide(a, b, method=method).witness_verdict
-            assert witv.tol == pytest.approx(nr_tol, rel=1e-12)
+            assert witv.tol == nr_tol, (a.shape, method)
             if witv.certificate is not None:
                 assert witv.certificate.tol == witv.tol
+            seen.add(witv.status)
+    assert seen == {Status.ORTHOGONAL, Status.NOT_ORTHOGONAL}
+
+
+@pytest.mark.parametrize("fld", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_each_public_call_computes_each_norm_once(monkeypatch, fld):
+    # the sigma_max kernel runs once for ||A|| and once for ||B|| per call,
+    # plus once in each Witness.from_vector, which rechecks from scratch
+    counts = {"sigma": 0, "from_vector": 0}
+    kernel = core_module._sigma_max_sq
+    from_vector = Witness.from_vector.__func__
+
+    def sigma(m):
+        counts["sigma"] += 1
+        return kernel(m)
+
+    def counted_from_vector(cls, a, b, x):
+        counts["from_vector"] += 1
+        return from_vector(cls, a, b, x)
+
+    monkeypatch.setattr(core_module, "_sigma_max_sq", sigma)
+    monkeypatch.setattr(Witness, "from_vector", classmethod(counted_from_vector))
+    calls = {"decide": decide, "check_definitional": check_definitional,
+             "find_witness": find_witness, "minimax_report": minimax_report,
+             "global_inf_lambda": global_inf_lambda,
+             "epsilon_witness": lambda a, b: epsilon_witness(a, b, 1e-3)}
+    pairs = ((gen_ginibre(4, 11, fld), gen_ginibre(4, 12, fld)),
+             gen_orthogonal_pair(4, 11, fld))
+    witnesses = 0
+    for a, b in pairs:
+        for name, call in calls.items():
+            counts.update(sigma=0, from_vector=0)
+            call(a, b)
+            assert counts["sigma"] == 2 + counts["from_vector"], (name, counts)
+            witnesses += counts["from_vector"]
+    assert witnesses > 0   # the orthogonal pair takes the witness paths
 
 
 def test_decide_status_is_scale_invariant():

@@ -102,6 +102,18 @@ def test_suite_config_validation():
         SuiteConfig(dims=())
     with pytest.raises(InputError):
         SuiteConfig(trials_per_dim=0)
+    # values of the wrong type, as a JSON config can carry them
+    for kw in ({"dims": 3}, {"dims": ["a"]}, {"dims": [2.5]}, {"dims": [True, 2]},
+               {"trials_per_dim": "5"}, {"trials_per_dim": True}, {"seed": "x"},
+               {"seed": 1.0}):
+        with pytest.raises(InputError):
+            SuiteConfig(**kw)
+    for kw in ({"gap_tol": "big"}, {"gap_tol": True}, {"decision_tol": 0.0},
+               {"decision_tol": -1e-7}, {"witness_eps": float("nan")},
+               {"witness_eps": float("inf")}, {"gap_tol": None}):
+        with pytest.raises(InputError):
+            Tolerances(**kw)
+    assert SuiteConfig(dims=[2, 3]).dims == (2, 3)
 
 
 def test_suite_config_json():
