@@ -109,7 +109,9 @@ class WitnessFailure:
 def check_definitional(a: Matrix, b: Matrix, tol: float = DEFAULT_TOL) -> Verdict:
     """Decide orthogonality straight from the norm-minimization definition.
 
-    ORTHOGONAL when inf over lambda of ||a + lambda*b|| >= ||a|| - tol.
+    The solve brackets inf over lambda of ||a + lambda*b|| by its certified
+    [lower_bound, value]: NOT_ORTHOGONAL when value < ||a|| - tol, ORTHOGONAL
+    when lower_bound >= ||a|| - tol, and BOUNDARY when it straddles ||a|| - tol.
     """
     return _definitional(_Pair.of(a, b), tol)
 
@@ -119,7 +121,12 @@ def _definitional(pair: _Pair, tol: float) -> Verdict:
         raise InputError(f"tol must lie in (0, 1), got {tol}")
     res = _solve(pair, min(tol * 0.1, 1e-7), DEFAULT_BUDGET)
     margin = min(res.value - pair.norm_a, 0.0)
-    status = Status.ORTHOGONAL if margin >= -tol else Status.NOT_ORTHOGONAL
+    if margin < -tol:
+        status = Status.NOT_ORTHOGONAL
+    elif res.lower_bound >= pair.norm_a - tol:
+        status = Status.ORTHOGONAL
+    else:
+        status = Status.BOUNDARY
     return Verdict(status=status, margin=margin, method=Method.DEFINITIONAL, tol=tol)
 
 

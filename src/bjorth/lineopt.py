@@ -7,10 +7,10 @@ lambda* minimizes ||A + lambda*B|| exactly when A + lambda*B is
 Birkhoff-James orthogonal to B, that is when zero lies in the numerical
 range W(C) of C = X*B*(A + lambda*B)X, with X spanning the top singular
 band of the pencil.  zero_in_numerical_range answers that, for this search
-and for the witness route alike, from one decomposition of C.  When zero
-lies outside, the separating half-plane gives a descent direction, searched
-by Brent's method (parabolic interpolation safeguarded by golden-section
-steps; Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+and for the witness route alike.  When zero lies outside, the separating
+half-plane gives a descent direction, searched by Brent's method (parabolic
+interpolation safeguarded by golden-section steps; Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 5).
 When zero lies inside, it also returns a unit y with <Cy, y> = 0, and
 x = Xy gives the evaluated lower bound phi(x) = inf over mu of
 ||(A + mu*B)x||, which never exceeds the infimum.  The band holds every
@@ -20,9 +20,8 @@ to tie, and narrows tenfold whenever it stops paying.  The search ends when
 the value and the lower bound meet.  The norm is convex along each line, so
 a line search ends as soon as the chords through its evaluated points
 certify its value to a tenth of that stopping gap, rather than when its
-bracket closes.  The same line minimizer sharpens the separating angle of
-the numerical-range test; the function it maximizes there is not concave,
-so that search runs until its bracket is 1e-10 wide.
+bracket closes.  The numerical-range test runs no line search: it bisects
+over separating angles (see zero_in_numerical_range).
 
 The public functions (inner_inf, zero_in_numerical_range,
 global_inf_lambda) validate their Matrix and Vector arguments and wrap
@@ -50,15 +49,6 @@ from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vecto
                    _check_pair, _Pair, _top_band)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
-NR_GRID = 720   # coarse angles scanned before local refinement
-# Width of the refined angle bracket.  Where the range point nearest zero
-# lies inside a flat edge, m(theta) has a kink at its maximum and an angle
-# error delta costs |delta| times the edge's half-length, which a 1e-8
-# bracket makes comparable to tol.
-_NR_XTOL = 1e-10
-# Cap on refinement evaluations, far above the 12 to 33 taken on random and
-# flat-edge ranges.
-_NR_MAX_EVALS = 200
 _BAND_START = 1e-4   # relative width of the first singular band
 _BAND_FLOOR = 1e-15  # narrower bands hold only exact ties, so the descent stops
 
@@ -230,18 +220,21 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget,
 def zero_in_numerical_range(c: Matrix, tol: float | None = None):
     """Test whether zero lies in the numerical range {<Cy, y> : ||y|| = 1}.
 
-    Returns (contains_zero, SeparationCertificate, y) from one decomposition:
-    y is a unit vector with <Cy, y> = 0 when zero lies inside, and a unit
-    vector of value near zero otherwise.  A 1x1 C has W(C) = {c}: zero lies
-    inside iff |c| <= tol, theta = -arg(c), the support is |c| and y = 1.
-    Over the reals W(C) is the eigenvalue interval of the symmetric part,
-    and y mixes its two extreme eigenvectors.  Otherwise m(theta) =
-    lambda_min(Re(e^{i theta} C)) is scanned over a 720-point grid in one
-    stacked eigenvalue call and the best angle sharpened by Brent's method
-    on -m to a bracket of 1e-10; a value above tol is a separating
-    half-plane.  y is an exact Bloch-sphere solve for a 2x2 C (_bloch_zero);
-    for a larger C the scan is an eigh, whose minimal eigenvectors build y
-    (_fan_zero).
+    Returns (contains_zero, SeparationCertificate, y): y is a unit vector
+    with <Cy, y> = 0 when zero lies inside, and otherwise one whose value is
+    the point of W(C) nearest zero.  A 1x1 C has W(C) = {c}, theta = -arg(c)
+    and support |c|.  Over the reals W(C) is the eigenvalue interval of the
+    symmetric part, and y mixes its two extreme eigenvectors.  Otherwise the
+    support is the largest m(t) = lambda_min(Re(e^{it} C)), found by a
+    bisection in which every step certifies (the arc algorithm of Guo,
+    Higham and Tisseur, SIAM J. Matrix Anal. Appl. 31, 2009): the lowest
+    eigenvector at t gives a point p of W(C), and since m(s) <= Re(e^{is} p)
+    for every s and m is unimodal on the arc m > 0, which is shorter than
+    pi, p confines the best angle to a half-circle holding at most half the
+    bracket.  The search stops when the bracket is narrower than
+    max(0.1 tol / ||C||_F, 1e-15).  If it empties first, zero lies in the
+    triangle of the last three points (Gordan's theorem), which two exact
+    2x2 Bloch-sphere steps collapse to y.
     """
     if not c.is_square():
         raise InputError(f"square matrix required, got {c.shape}")
@@ -273,58 +266,68 @@ def _zero_in_range(ca: np.ndarray, tol: float):
 
     h1 = 0.5 * (ca + ca.conj().T)
     h2 = (ca - ca.conj().T) / 2j
+    norm = float(np.linalg.norm(ca))
+    lo, hi = -math.inf, math.inf   # the bracket on the best angle
+    ends = [None, None]   # the (vector, value) whose half-circles set lo and hi
+    best_m, best_theta, best_x, y = -math.inf, 0.0, None, None
+    t = -cmath.phase(np.trace(ca))
+    for _ in range(64):   # each step at least halves the bracket, unless rounding stalls it
+        w, v = np.linalg.eigh(math.cos(t) * h1 - math.sin(t) * h2)
+        x = v[:, 0]
+        p = complex(np.vdot(x, ca @ x))
+        if w[0] > best_m:
+            best_m, best_theta, best_x = float(w[0]), t, x
+        if p == 0.0:   # x is a zero of the form, and p bounds no half-circle
+            y = x
+            break
+        # m(t) = Re q and m'(t) = -Im q.  The best angle lies in the
+        # half-circle centred at a: when m(t) > 0, on the side of t where m
+        # rises, since m is unimodal on the arc m > 0, which is shorter than
+        # pi; otherwise where Re(e^{is} p) > 0, since m(s) <= Re(e^{is} p),
+        # and that half-circle excludes t
+        q = cmath.exp(1j * t) * p
+        a = t + (math.copysign(0.5 * math.pi, -q.imag) if q.real > 0.0 else -cmath.phase(q))
+        if min(hi, a + 0.5 * math.pi) <= max(lo, a - 0.5 * math.pi):
+            if best_m <= 0.0:   # Gordan: no angle passes all three half-circles
+                y = _triangle_zero(ca, ends + [(x, p)])
+            break
+        if a - 0.5 * math.pi > lo:
+            lo, ends[0] = a - 0.5 * math.pi, (x, p)
+        if a + 0.5 * math.pi < hi:
+            hi, ends[1] = a + 0.5 * math.pi, (x, p)
+        if (hi - lo) * norm <= max(0.1 * tol, 1e-15 * norm):
+            break
+        t = 0.5 * (lo + hi)
 
-    def m(theta: float) -> float:
-        w = np.linalg.eigvalsh(math.cos(theta) * h1 - math.sin(theta) * h2)
-        return float(w[0])
-
-    step = 2.0 * math.pi / NR_GRID
-    grid = np.arange(NR_GRID) * step
-    rot = np.exp(1j * grid)[:, None, None] * ca
-    stack = 0.5 * (rot + np.swapaxes(rot.conj(), 1, 2))
-    if ca.shape[0] == 2:   # the Bloch-sphere solve needs no scan vectors
-        mins, y = np.linalg.eigvalsh(stack)[:, 0], _bloch_zero(ca)
-    else:
-        w, v = np.linalg.eigh(stack)
-        mins, y = w[:, 0], _fan_zero(ca, v[:, :, 0])
-    j = int(np.argmax(mins))
-    best_theta, best_m = float(grid[j]), float(mins[j])
-
-    theta, neg_m, _ = _brent_line(lambda t: -m(t), best_theta - step, best_theta + step,
-                                  _NR_XTOL, _Budget(_NR_MAX_EVALS))
-    if -neg_m > best_m:
-        best_theta, best_m = theta, -neg_m
-
-    return best_m <= tol, best_theta % (2.0 * math.pi), best_m, y
+    contains = best_m <= tol
+    # zero within tol: the bracket's two end vectors have values on either
+    # side of zero, about opposite each other
+    if y is None:
+        y = _span_zero(ca, ends[0][0], ends[1][0]) if contains else best_x
+    return contains, best_theta % (2.0 * math.pi), best_m, y
 
 
-def _fan_zero(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Unit y with <Cy, y> = 0 from the scan's boundary vectors xs of W(C).
+def _triangle_zero(c: np.ndarray, corners) -> np.ndarray:
+    """Unit y with <Cy, y> = 0 from three (x_j, p_j = <C x_j, x_j>) whose triangle holds zero."""
+    # two 2x2 steps: first to the point of the edge (p0, p1) on the line from
+    # p2 through zero, then to zero on the span of that vector and x2; where
+    # the line misses the edge, the corner farther from p2 along it takes its
+    # place.  The weights are formed from the values scaled to modulus at
+    # most 1, so that their products neither overflow nor underflow.
+    (x0, p0), (x1, p1), (x2, p2) = corners
+    u0, u1, u2 = np.array([p0, p1, p2]) / max(abs(p0), abs(p1), abs(p2))
+    w0 = (u1.conjugate() * u2).imag   # barycentric weights of zero at p0 and
+    w1 = (u2.conjugate() * u0).imag   # p1, times twice the scaled triangle's area
+    if abs(w0 + w1) <= 1e-12:
+        far = x0 if (u2.conjugate() * u0).real <= (u2.conjugate() * u1).real else x1
+        return _span_zero(c, far, x2)
+    return _span_zero(c, _span_zero(c, x0, x1, (w0 * p0 + w1 * p1) / (w0 + w1)), x2)
 
-    The values p_j = <C x_j, x_j> are boundary points of the range; a fan
-    triangle (p_0, p_j, p_j+1) holding zero is collapsed in two exact 2x2
-    steps: first a vector on its edge whose value is where the line from
-    the third vertex through zero meets that edge, then a zero on the span
-    of that vector and the third one.  When no triangle holds zero, the
-    boundary vector of value nearest zero is returned.
-    """
-    pts = np.einsum("ji,ik,jk->j", xs.conj(), c, xs)
-    # signed areas of (0, p0, pj), (0, pj, pj+1) and (0, pj+1, p0) over the fan j >= 1
-    d1 = (pts[0].conjugate() * pts[1:-1]).imag
-    d2 = (pts[1:-1].conjugate() * pts[2:]).imag
-    d3 = (pts[2:].conjugate() * pts[0]).imag
-    inside = ((d1 >= 0) & (d2 >= 0) & (d3 >= 0)) | ((d1 <= 0) & (d2 <= 0) & (d3 <= 0))
-    area = np.where(inside, np.abs(d1 + d2 + d3), 0.0)
-    j = int(np.argmax(area))                    # the best-conditioned triangle
-    if area[j] <= 1e-12 * float(np.max(np.abs(pts))) ** 2:
-        return xs[int(np.argmin(np.abs(pts)))]
-    total = d1[j] + d2[j] + d3[j]
-    wa, wb = d2[j] / total, d3[j] / total       # barycentric weights of p0, pj
-    target = (wa * pts[0] + wb * pts[j + 1]) / (wa + wb)
-    q1 = np.linalg.qr(np.column_stack([xs[0], xs[j + 1]]))[0]
-    z = q1 @ _bloch_zero(q1.conj().T @ c @ q1 - target * np.eye(2))
-    q2 = np.linalg.qr(np.column_stack([z, xs[j + 2]]))[0]
-    return q2 @ _bloch_zero(q2.conj().T @ c @ q2)
+
+def _span_zero(c: np.ndarray, x0: np.ndarray, x1: np.ndarray, target: complex = 0.0):
+    """Unit y in span{x0, x1} with <Cy, y> = target, or the nearest to it."""
+    q = np.linalg.qr(np.column_stack([x0, x1]))[0]
+    return q @ _bloch_zero(q.conj().T @ c @ q - target * np.eye(2))
 
 
 def _bloch_zero(m: np.ndarray) -> np.ndarray:

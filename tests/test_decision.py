@@ -109,9 +109,8 @@ def test_definitional_verdict_scale_free_kink_pair():
     assert v.status is Status.NOT_ORTHOGONAL
 
 
-@pytest.mark.xfail(strict=True, reason="D4: the definitional verdict ignores the certificate")
 def test_definitional_verdict_reads_unconverged_certificate(monkeypatch):
-    # four evaluations leave the solve at lambda = 0 (value ||A|| = 3.674)
+    # D4: four evaluations leave the solve at lambda = 0 (value ||A|| = 3.674)
     # with lower bound 2.658, stopped on "budget"; the converged margin is
     # -0.27, so an ORTHOGONAL verdict from this solve is unfounded
     solve = decision_module._solve
@@ -226,7 +225,7 @@ def test_numerical_range_normal_matrices_match_hull_oracle():
 @pytest.mark.parametrize("rel", [1.0 - 1e-6, 1.0 + 1e-6])
 @pytest.mark.parametrize("phase", [0.0, 0.3, 2.0, math.pi, -2.5])
 def test_numerical_range_one_by_one_closed_form(rel, phase):
-    # W([[c]]) = {c} = W(diag(c, c)); the 2x2 copy goes through the angle scan
+    # W([[c]]) = {c} = W(diag(c, c)); the 2x2 copy goes through the bisection
     tol = 1e-3
     c = tol * rel * cmath.exp(1j * phase)
     contains, cert, _ = zero_in_numerical_range(cmat([[c]]), tol)
@@ -234,8 +233,9 @@ def test_numerical_range_one_by_one_closed_form(rel, phase):
     assert contains is scan_contains is (rel < 1.0)
     assert cert.support == pytest.approx(scan.support, abs=1e-9)
     assert (cmath.exp(1j * cert.theta) * c).real == pytest.approx(abs(c), rel=1e-15)
-    # the scan's line refinement resolves theta only to about sqrt(2 eps),
-    # where m(theta) = |c| cos(theta - theta*) is flat to rounding
+    # the bisection starts at -arg tr C, the best angle here; the test asks
+    # only for about sqrt(2 eps), below which m(theta) =
+    # |c| cos(theta - theta*) is flat to rounding
     gap = abs((cert.theta - scan.theta + math.pi) % (2.0 * math.pi) - math.pi)
     assert gap <= 1e-7
 
@@ -254,6 +254,37 @@ def test_numerical_range_separates_flat_edge_just_past_tol():
             cmat(rot * np.diag([h + 1j * d, -h + 1j * d])), tol)
         assert not contains
         assert cert.support > tol
+
+
+THIN_PHASES = [0.004, 0.01, 0.5, 2.0, -1.0, 3.0]
+
+
+def _thin_rectangle(phi):
+    # W(diag(v)) is the rectangle with corners v, 2 wide and 1e-4 tall, at
+    # distance exactly 1e-6 from zero; its nearest point lies inside the long
+    # edge, and the arc of separating angles is only about 2.2e-6 wide
+    return cmath.exp(1j * phi) * (np.array([-1.3, 0.7, 0.7 + 1e-4j, -1.3 + 1e-4j]) + 1e-6j)
+
+
+@pytest.mark.parametrize("phi", THIN_PHASES)
+def test_numerical_range_separates_thin_rectangle(phi):
+    # D7: a grid of angles steps over so narrow an arc, and its best angle
+    # can land where the range lies on both sides of zero
+    contains, cert, _ = zero_in_numerical_range(cmat(np.diag(_thin_rectangle(phi))))
+    assert not contains
+    assert abs(cert.support - 1e-6) <= 0.1 * cert.tol
+
+
+@pytest.mark.parametrize("phi", THIN_PHASES)
+def test_thin_range_pair_is_decided(phi):
+    # A's top band is its first four coordinates, on which B*A is diag(v),
+    # so both routes see the thin rectangle of D7
+    v = _thin_rectangle(phi)
+    a = cmat(np.diag([1.0, 1.0, 1.0, 1.0, 0.2]))
+    b = cmat(np.diag(np.append(v.conj(), 0.5)))
+    assert find_witness(a, b).status is Status.NOT_ORTHOGONAL
+    assert global_inf_lambda(a, b).stop_reason == "converged"
+    assert minimax_report(a, b).rel_gap <= 1e-4
 
 
 def test_numerical_range_rejects_non_square():

@@ -209,7 +209,7 @@ def test_line_min_budget_exhaustion():
 
 
 def test_line_min_maximizes_by_negation():
-    # the numerical-range refinement maximizes m(theta) this way
+    # a concave function is maximized as the minimum of its negation
     def m(t):
         return 1.0 - 3.0 * abs(t - 0.7)
 
@@ -446,7 +446,8 @@ def test_pencil_norm_is_midpoint_convex():
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from([(cf, k) for cf in (True, False) for k in range(1, 8)]))
 def test_numerical_range_vector_hits_zero(seed, case):
-    # a traceless C has 0 in W(C); complex k >= 3 takes the fan-triangle path
+    # a traceless C has 0 in W(C); complex k >= 2 takes the angle bisection,
+    # whose zero comes from its Gordan triangle or its bracket's end vectors
     complex_field, k = case
     c = _oracles.seeded(k, seed, complex_field)
     c = c - np.trace(c) / k * np.eye(k)
@@ -457,15 +458,43 @@ def test_numerical_range_vector_hits_zero(seed, case):
     assert abs(np.vdot(y, c @ y)) <= 1e-12 * np.linalg.norm(c)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_numerical_range_vector_hits_zero_at_extreme_scales(scale):
+    # the complex zero of the form is built from products of range points,
+    # which must neither overflow nor underflow
+    for k in range(2, 8):
+        for seed in range(50):
+            c = _oracles.seeded(k, 700 + seed)
+            c = scale * (c - np.trace(c) / k * np.eye(k))
+            contains, _, y = zero_in_numerical_range(cmat(c))
+            assert contains
+            assert abs(np.vdot(y, c @ y)) <= 1e-12 * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("c", [np.zeros((3, 3)), np.diag([0.0, 1.0, 1j])], ids=["zero", "vertex"])
+def test_numerical_range_exact_zero_of_the_form(monkeypatch, c):
+    # a lowest eigenvector with <Cy, y> = 0 exactly bounds no half-circle of
+    # angles; it is the answer, after one eigh (here zero is a vertex of W(C))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    contains, cert, y = zero_in_numerical_range(cmat(c))
+    assert contains and cert.support == 0.0
+    assert np.vdot(y, c @ y) == 0.0 and np.linalg.norm(y) == 1.0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("complex_field, k",
-                         [(False, k) for k in range(1, 8)] + [(True, 1)])
+                         [(False, k) for k in range(1, 8)] + [(True, k) for k in range(1, 8)])
 def test_numerical_range_vector_attains_support_outside(complex_field, k):
     # zero outside W(C): y is the range point nearest zero, so its value's
     # modulus is the certificate's support
     fld = Field.COMPLEX if complex_field else Field.REAL
     for seed in range(20):
         c = _oracles.seeded(k, 600 + seed, complex_field)
-        if not complex_field:   # a definite symmetric part, of either sign
+        if complex_field:   # W(C) shifted off zero, in a direction set by the seed
+            c = c + np.exp(2j * np.pi * seed / 20) * (np.linalg.norm(c) + 1.0) * np.eye(k)
+        else:               # a definite symmetric part, of either sign
             c = c + (-1) ** seed * (np.linalg.norm(c) + 1.0) * np.eye(k)
         contains, cert, y = zero_in_numerical_range(Matrix(fld, c))
         assert not contains
