@@ -111,7 +111,8 @@ class Matrix:
         if missing:
             raise InputError(f"matrix JSON missing keys: {sorted(missing)}")
         rows, cols = d["rows"], d["cols"]
-        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+        if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+                   for k in (rows, cols)):
             raise InputError("rows and cols must be positive integers")
         field = Field.parse(d["field"])
         data = d["data"]
@@ -251,9 +252,27 @@ def _sigma_max_sq(a: np.ndarray) -> float:
     return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
+# Norms are read off Gram matrices, which hold a norm to full precision only
+# while its square is a finite normal float: about 1.5e-154 to 1.3e154
+_GRAM_MIN = float(np.finfo(np.float64).tiny)
+
+
+def _check_range(what: str, value: float) -> None:
+    if not _GRAM_MIN <= value * value < math.inf:   # NaN fails this too
+        raise InputError(f"{what} {value!r} is outside the supported range "
+                         "of about 1.5e-154 to 1.3e154")
+
+
 def operator_norm(m: Matrix) -> float:
-    """Spectral norm (largest singular value) of a matrix."""
-    return math.sqrt(_sigma_max_sq(m.data))
+    """Spectral norm (largest singular value) of a matrix.
+
+    Raises InputError when a nonzero matrix has a norm outside about
+    1.5e-154 to 1.3e154, where its Gram matrix overflows or underflows.
+    """
+    smax = math.sqrt(_sigma_max_sq(m.data))
+    if smax != 0.0 or m.data.any():
+        _check_range("matrix norm", smax)
+    return smax
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +288,12 @@ class _Pair:
 
     @classmethod
     def of(cls, a: Matrix, b: Matrix) -> "_Pair":
-        return cls(a, b, _check_pair(a, b), operator_norm(a), operator_norm(b))
+        """The pair, or InputError; beside each norm, ||b||/||a|| must lie
+        in operator_norm's range, since the solver works on b/||a||."""
+        pair = cls(a, b, _check_pair(a, b), operator_norm(a), operator_norm(b))
+        if pair.norm_a != 0.0 and pair.norm_b != 0.0:
+            _check_range("norm ratio ||b||/||a||", pair.norm_b / pair.norm_a)
+        return pair
 
 
 def _top_band(a: np.ndarray, rank_tol: float):
@@ -311,11 +335,14 @@ def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
         LAPACK build leaves free.
 
     For the zero matrix every singular value ties at zero, so the subspace is
-    the full standard basis.
+    the full standard basis.  Raises InputError for a norm outside the range
+    of operator_norm.
     """
     if not (0.0 < rank_tol < 1e-2):
         raise InputError(f"rank_tol must lie in (0, 1e-2), got {rank_tol}")
     smax, basis = _top_band(m.data, rank_tol)
+    if smax != 0.0 or m.data.any():
+        _check_range("matrix norm", smax)
     basis = _canonical_phase(basis)
     vectors = [Vector(m.field, basis[:, k]) for k in range(basis.shape[1])]
     return SpectralData(op_norm=smax, top_subspace=vectors, rank_tol=rank_tol)

@@ -18,20 +18,22 @@ singular value within a relative width of the top one; the width starts at
 1e-4, so near a kink the direction accounts for the singular values about
 to tie, and narrows tenfold whenever it stops paying.  The search ends when
 the value and the lower bound meet.  The norm is convex along each line, so
-a line search ends as soon as the chords through its evaluated points
-certify its value to a tenth of that stopping gap, rather than when its
-bracket closes.  The numerical-range test runs no line search: it bisects
-over separating angles (see zero_in_numerical_range).
+a line search has one stop rule: it ends as soon as the chords through its
+evaluated points certify its value to a tenth of that stopping gap, with a
+rounding floor on its bracket as the only other exit.  The numerical-range
+test runs no line search: it bisects over separating angles (see
+zero_in_numerical_range).
 
 The public functions (inner_inf, zero_in_numerical_range,
 global_inf_lambda) validate their Matrix and Vector arguments and wrap
 their results.  Inside the search everything is a raw ndarray: each band
 step is one eigh of the pencil's Gram matrix (_top_band), the compression,
 the numerical-range kernel _zero_in_range and the phi kernel _line_inf, and
-each norm evaluation is one eigvalsh.  The band's columns keep the phases
-LAPACK gives them, which repeat for a fixed build and BLAS thread count.
-W(C) does not depend on them, but when zero lies inside, which of its
-zeros y the kernel picks can, and with it the certificate and the path.
+each norm evaluation is operator_norm's kernel, one Gram-matrix eigvalsh.
+The band's columns keep the phases LAPACK gives them, which repeat for a
+fixed build and BLAS thread count.  W(C) does not depend on them, but when
+zero lies inside, which of its zeros y the kernel picks can, and with it
+the certificate and the path.
 
 global_inf_lambda validates its pair once, into a core _Pair holding ||A||
 and ||B||, and runs the kernel _solve on it; the decision routes call _solve.
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector,
-                   _check_pair, _Pair, _top_band)
+                   _check_pair, _Pair, _sigma_max_sq, _top_band)
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section step as a share of the bracket
 _BAND_START = 1e-4   # relative width of the first singular band
@@ -134,39 +136,31 @@ class _Budget:
         return True
 
 
-def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget,
-                ftol: float | None = None):
-    """Minimize a unimodal f on [a, b] by Brent's method.
+def _brent_line(f, a: float, b: float, budget: _Budget, ftol: float):
+    """Minimize a convex f on [a, b] by Brent's method.
 
     Returns (x_best, f_best, exhausted): the point of lowest value among
     those evaluated, and whether the budget ran out first.  Unless it did,
-    the search ends once the bracket around x_best, which holds the
-    minimizer of a unimodal f, is at most xtol wide, or, given ftol, once
-    f_best is certified within ftol of the minimum.  xtol is absolute:
-    at a kink the value error is the slope times the error in x, so a term
-    relative to |x| would loosen the value by an amount set by where the
-    bracket happens to sit.
-
-    ftol is for a convex f only.  Once both bracket ends l < x_best < r are
-    evaluated points, they are the ones nearest x_best, and the chords
-    through them bound f from below on each side of x = x_best:
+    the search ends once f_best is certified within ftol of the minimum.
+    Once both bracket ends l < x_best < r are evaluated points, they are the
+    ones nearest x_best, and the chords through them bound f from below on
+    each side of x = x_best:
     min f >= f(x) - max((f(l) - f(x))(r - x)/(x - l), (f(r) - f(x))(x - l)/(r - x)).
     At a smooth minimum this ends the search while the last evaluations
     would still narrow the bracket without changing the value.  The bound
     holds to the rounding of f; the distance search re-tests optimality
     after every line, so a line ended early costs descent, not accuracy.
+    Rounding sets the only other exit: a bracket around x_best at most
+    5e-16 max(|a|, |b|) wide, above the float spacing anywhere in [a, b]
+    (5e-16 (b - a) on the solver's [0, 2 radius]); no step is shorter than
+    a quarter of that.
 
     A parabola through the three best points proposes each step.  It is
     taken only when it lands inside the bracket and moves less than half
     the step before last; otherwise a golden-section step is taken, which
-    is what happens at a kink.  No step is shorter than xtol / 4.
+    is what happens at a kink.
     """
-    if b - a <= xtol:
-        mid = 0.5 * (a + b)
-        if not budget.spend():
-            return mid, math.inf, True
-        return mid, f(mid), False
-    tol1 = 0.25 * xtol
+    tol1 = 1.25e-16 * max(abs(a), abs(b))
     x = w = v = a + _CGOLD * (b - a)
     if not budget.spend():
         return x, math.inf, True
@@ -211,7 +205,7 @@ def _brent_line(f, a: float, b: float, xtol: float, budget: _Budget,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-        if ftol is not None and a < x < b and max(
+        if a < x < b and max(
                 (fa - fx) * (b - x) / (x - a), (fb - fx) * (x - a) / (b - x)) <= ftol:
             break
     return x, fx, False
@@ -389,8 +383,8 @@ def global_inf_lambda(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     the start, so the result never exceeds ||a||.
     """
     pair = _Pair.of(a, b)
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
+    if not tol > 0.0:   # NaN fails this too
+        raise InputError(f"tol must be positive, got {tol}")
     return _solve(pair, tol, budget)
 
 
@@ -420,17 +414,6 @@ def _solve(pair: _Pair, tol: float, budget: int) -> LineMinResult:
     norm_bn = pair.norm_b / unit
     radius = 2.0 / norm_bn
     stop = min(tol / unit, 1e-9) / 10.0
-    xtol = 1e-15 * radius   # rounding floor; each line ends on its value stop first
-
-    # ||aa + lam*ba|| from the top eigenvalue of the Gram matrix, as operator_norm
-    if complex_field:
-        def f(lam: complex) -> float:
-            p = aa + lam * ba
-            return math.sqrt(max(float(np.linalg.eigvalsh(p.conj().T @ p)[-1]), 0.0))
-    else:
-        def f(lam: float) -> float:
-            p = aa + lam * ba
-            return math.sqrt(max(float(np.linalg.eigvalsh(p.T @ p)[-1]), 0.0))
 
     val = 1.0   # the lambda = 0 objective in normalized units, exactly
     lower, cert = -1.0, None
@@ -454,8 +437,9 @@ def _solve(pair: _Pair, tol: float, budget: int) -> LineMinResult:
             if not complex_field:   # theta is 0 or pi, so d is -1 or 1
                 d = d.real
             center = lam
-            t, ft, exhausted = _brent_line(lambda t: f(center + t * d), 0.0, 2.0 * radius,
-                                           xtol, meter, 0.1 * stop)
+            t, ft, exhausted = _brent_line(
+                lambda t: math.sqrt(_sigma_max_sq(aa + (center + t * d) * ba)),
+                0.0, 2.0 * radius, meter, 0.1 * stop)
             if ft < val:
                 lam, val, moved = center + t * d, ft, True
             if exhausted:

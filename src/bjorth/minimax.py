@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sphere import multistart_minimize
-from .core import DEFAULT_BUDGET, DEFAULT_TOL, Field, Matrix, Vector, _Pair, _top_band
+from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector, _Pair,
+                   _top_band)
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
 from .lineopt import global_inf_lambda
 
@@ -142,6 +143,8 @@ def minimax_report(a: Matrix, b: Matrix, *, tol: float = DEFAULT_TOL,
     certificate vector (see the module docstring).  A relative gap above
     gap_tol is reported with restart_starved=True rather than hidden.
     """
+    if math.isnan(gap_tol):   # no gap would compare above it
+        raise InputError("gap_tol must be a number, got nan")
     rhs = rhs_inf_sup(a, b, tol=tol, budget=budget)
     gap = rhs.value - rhs.lower_bound
     rel_gap = gap / max(rhs.value, 1.0)

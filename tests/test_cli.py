@@ -257,6 +257,32 @@ def test_malformed_matrix_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_norm_outside_the_gram_range_is_input_error(tmp_path, capsys):
+    # D8: entries of 1e200 overflow the Gram matrix; `norm` printed
+    # "op_norm": NaN and `check` died with an IndexError (exit 1)
+    a = write_mat(tmp_path, "a.json", 1e200 * np.eye(2))
+    for argv in (["norm", a], ["check", a, a]):
+        code, doc, err = run(capsys, argv)
+        assert (code, doc) == (2, None), argv
+        assert err.startswith("error:") and "supported range" in err
+
+
+def test_nan_tol_is_input_error(tmp_path, capsys):
+    a = write_mat(tmp_path, "a.json", [[2, 0], [0, 1]])
+    b = write_mat(tmp_path, "b.json", [[1, 0], [0, 1]])
+    code, doc, err = run(capsys, ["distance", a, b, "--tol", "nan"])
+    assert (code, doc) == (2, None)
+    assert err.startswith("error:")
+
+
+def test_boolean_dimensions_are_input_error(tmp_path, capsys):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps({"rows": True, "cols": 1, "field": "real", "data": [1.0]}))
+    code, doc, err = run(capsys, ["norm", str(p)])
+    assert (code, doc) == (2, None)
+    assert err.startswith("error:")
+
+
 def test_shape_mismatch_is_input_error(tmp_path, capsys):
     a = write_mat(tmp_path, "a.json", np.eye(2))
     b = write_mat(tmp_path, "b.json", np.eye(3))

@@ -116,6 +116,14 @@ def test_matrix_json_rejects_malformed():
         Matrix.from_json("[1, 2, 3]")
 
 
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_matrix_json_rejects_boolean_dimensions(key):
+    d = {"rows": 1, "cols": 1, "field": "real", "data": [1.0]}
+    d[key] = True
+    with pytest.raises(InputError, match="rows and cols must be positive integers"):
+        Matrix.from_json_dict(d)
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_matrix_json_round_trip_random(rows, cols, complex_field, seed):
@@ -166,6 +174,20 @@ def test_operator_norm_nilpotent():
 def test_operator_norm_rectangular():
     m = rmat([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
     assert operator_norm(m) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e155, 1e200, 1e-155, 1e-200])
+def test_norm_outside_the_gram_range_is_rejected(s):
+    # D8: the Gram matrix of s*I overflows to NaN or underflows below the
+    # normal floats, so the norm read off it would be wrong
+    m = cmat(s * np.eye(2))
+    with pytest.raises(InputError, match="supported range"):
+        operator_norm(m)
+    with pytest.raises(InputError, match="supported range"):
+        top_singular_subspace(m)
+    for t in (1e-150, 1e150):   # just inside the range
+        assert operator_norm(cmat(t * np.eye(2))) == pytest.approx(t, rel=1e-15)
+        assert top_singular_subspace(cmat(t * np.eye(2))).op_norm == pytest.approx(t, rel=1e-15)
 
 
 def test_operator_norm_vs_power_iteration_real():

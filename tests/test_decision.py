@@ -91,6 +91,14 @@ def test_definitional_validation():
         check_definitional(DIAG_A, cmat(np.eye(3)))
 
 
+def test_definitional_rejects_pair_outside_the_gram_range():
+    # D8: B = 1e155*I has a NaN norm and B = 1e-200*I a zero one, and the
+    # route said ORTHOGONAL for A = diag(2, 1), whose distance is 0.5
+    for s in (1e155, 1e-200):
+        with pytest.raises(InputError, match="supported range"):
+            check_definitional(cmat([[2, 0], [0, 1]]), cmat(s * np.eye(2)))
+
+
 def test_definitional_status_is_scale_invariant():
     a = cmat(_oracles.seeded(3, 210))
     b = cmat(_oracles.seeded(3, 211))

@@ -12,6 +12,7 @@ import-budget tests below check that in fresh interpreters.
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -63,6 +64,22 @@ def test_scan_flags_unused_and_honours_noqa():
               "def f(m: Matrix) -> None:\n"
               "    return os.path.join('a')\n")
     assert unused_imports(source) == [(2, "np"), (4, "Field")]
+
+
+# ------------------------------------------------------------- traced names
+
+
+def test_every_traced_name_resolves():
+    # the benchmark tracer wraps each (module, attribute) of bench/spans.py's
+    # TRACED where the module looks it up, so dropping one breaks the traced
+    # benchmark run; the file is only loaded here, never changed
+    path = PACKAGE.parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, attr, *_ in spans.TRACED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 # ------------------------------------------------------------- import budget

@@ -72,6 +72,12 @@ def test_validation():
         lhs_sup_inf(rmat(np.eye(2)), cmat(np.eye(2)))
 
 
+def test_nan_gap_tol_is_rejected():
+    # a NaN gap_tol compared false against every gap, so no gap was flagged
+    with pytest.raises(InputError, match="gap_tol"):
+        minimax_report(gen_ginibre(3, 1), gen_ginibre(3, 2), gap_tol=float("nan"))
+
+
 def test_report_on_one_row_pairs():
     # B = A, so lambda = -1 reaches zero and both sides of the identity vanish
     for a in (cmat([[1.0]]), rmat([[1.0, 0.0]])):
