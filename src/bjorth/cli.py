@@ -14,29 +14,29 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .core import (DEFAULT_BUDGET, DEFAULT_TOL, SCHEMA_VERSION, ConvergenceError, Field,
-                   InputError, Matrix, operator_norm)
+                   InputError, Matrix, _re_im, operator_norm)
 
 # keyed by Status value, so that the table needs no import of `decision`
 _EXIT_BY_STATUS = {"ORTHOGONAL": 0, "NOT_ORTHOGONAL": 1, "BOUNDARY": 3}
 
 
-def _load_matrix(path: str) -> Matrix:
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return Matrix.from_json(text)
 
 
 def _load_pair(args) -> tuple:
-    return _load_matrix(args.a), _load_matrix(args.b)
+    return Matrix.from_json(_read(args.a)), Matrix.from_json(_read(args.b))
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("BJORTH_SEED")
     if env:
@@ -47,23 +47,20 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _emit(path: str | None, obj: dict) -> None:
-    """Write obj as indented, key-sorted JSON to the file path, or to stdout."""
+def _emit(path: str | None, doc: dict) -> None:
+    """Write doc with its schema_version as indented, key-sorted JSON to the
+    file path, or to stdout."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2, sort_keys=True)
     if path:
-        from .harness import save_report
-        save_report(obj, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(text)
 
 
 def _say(args, line: str) -> None:
-    if getattr(args, "summary", False):
+    if args.summary:
         print(line, file=sys.stderr)
-
-
-def _lam_pair(lam) -> list:
-    z = complex(lam)
-    return [z.real, z.imag]
 
 
 def _verdict_json(v) -> dict:
@@ -79,10 +76,9 @@ def _witness_json(w) -> dict:
 
 
 def _cmd_norm(args) -> int:
-    a = _load_matrix(args.a)
+    a = Matrix.from_json(_read(args.a))
     val = operator_norm(a)
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, "op_norm": val,
-                     "rows": a.rows, "cols": a.cols, "field": a.field.value})
+    _emit(args.out, {"op_norm": val, "rows": a.rows, "cols": a.cols, "field": a.field.value})
     _say(args, f"op_norm = {val:.12g}")
     return 0
 
@@ -91,13 +87,11 @@ def _cmd_distance(args) -> int:
     from .lineopt import global_inf_lambda
     a, b = _load_pair(args)
     res = global_inf_lambda(a, b, tol=args.tol, budget=args.budget)
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, "value": res.value,
-                     "lambda": _lam_pair(res.lambda_star),
-                     "lower_bound": res.lower_bound,
-                     "evaluations": res.evaluations,
-                     "budget_limited": res.budget_limited,
+    lam = _re_im(res.lambda_star)
+    _emit(args.out, {"value": res.value, "lambda": lam, "lower_bound": res.lower_bound,
+                     "evaluations": res.evaluations, "budget_limited": res.budget_limited,
                      "stop_reason": res.stop_reason})
-    _say(args, f"min over lambda = {res.value:.12g} at lambda = {_lam_pair(res.lambda_star)}")
+    _say(args, f"min over lambda = {res.value:.12g} at lambda = {lam}")
     return 3 if res.budget_limited else 0
 
 
@@ -106,7 +100,7 @@ def _cmd_check(args) -> int:
     a, b = _load_pair(args)
     rep = decide(a, b, method=args.method, tol=args.tol)
     v = rep.verdict
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, **_verdict_json(v),
+    _emit(args.out, {**_verdict_json(v),
                      "witness": _witness_json(rep.witness) if rep.witness else None,
                      "witness_error": rep.witness_error})
     _say(args, f"{v.status.value}" + (f" (margin = {v.margin:.6g})"
@@ -119,18 +113,16 @@ def _cmd_witness(args) -> int:
     a, b = _load_pair(args)
     out = find_witness(a, b) if args.eps is None else epsilon_witness(a, b, args.eps)
     if isinstance(out, Witness):
-        _emit(args.out, {"schema_version": SCHEMA_VERSION,
-                         "status": "ORTHOGONAL", **_witness_json(out)})
+        _emit(args.out, {"status": "ORTHOGONAL", **_witness_json(out)})
         _say(args, f"witness found, epsilon = {out.epsilon:.3e}")
         return 0
     if args.eps is not None:
-        _emit(args.out, {"schema_version": SCHEMA_VERSION, "failed": True,
-                         "best_value": out.best_value, "threshold": out.threshold,
-                         "x": out.best_x.to_pairs()})
+        _emit(args.out, {"failed": True, "best_value": out.best_value,
+                         "threshold": out.threshold, "x": out.best_x.to_pairs()})
         _say(args, f"no witness: best value {out.best_value:.6g} "
                    f"below threshold {out.threshold:.6g}")
         return 1
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, **_verdict_json(out)})
+    _emit(args.out, _verdict_json(out))
     _say(args, "no witness exists: pair is not orthogonal")
     return 1
 
@@ -139,14 +131,10 @@ def _cmd_minimax(args) -> int:
     from .minimax import minimax_report
     a, b = _load_pair(args)
     rep = minimax_report(a, b, tol=args.tol)
-    _emit(args.out, {"schema_version": SCHEMA_VERSION, **rep.to_json_dict()})
+    _emit(args.out, rep.to_json_dict())
     _say(args, f"lhs = {rep.lhs_value:.12g}, rhs = {rep.rhs_value:.12g}, "
                f"gap = {rep.gap:.3e}")
     return 3 if (rep.restart_starved or rep.budget_limited) else 0
-
-
-_CONFIG_KEYS = {"dims", "trials_per_dim", "seed", "field", "tolerances"}
-_TOL_KEYS = {"decision_tol", "gap_tol", "witness_eps"}
 
 
 def _suite_config(args):
@@ -154,20 +142,18 @@ def _suite_config(args):
     d = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {args.config}: {exc}") from None
+            d = json.loads(_read(args.config))
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {args.config}: {exc}") from None
         if not isinstance(d, dict):
             raise InputError("suite config must be a JSON object")
-        unknown = set(d) - _CONFIG_KEYS
+        unknown = set(d) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise InputError(f"unknown suite config keys: {sorted(unknown)}")
     tol_d = d.get("tolerances", {})
-    if not isinstance(tol_d, dict) or set(tol_d) - _TOL_KEYS:
-        raise InputError(f"tolerances must be an object with keys from {sorted(_TOL_KEYS)}")
+    tol_keys = sorted(f.name for f in fields(Tolerances))
+    if not isinstance(tol_d, dict) or set(tol_d) - set(tol_keys):
+        raise InputError(f"tolerances must be an object with keys from {tol_keys}")
     # an explicit --seed beats the config file, which beats $BJORTH_SEED
     seed = d["seed"] if args.seed is None and "seed" in d else _resolve_seed(args)
     kw = {key: d[key] for key in ("dims", "trials_per_dim") if key in d}
@@ -191,28 +177,23 @@ def _cmd_suite(args) -> int:
     return 3 if nfail else 0
 
 
-def _matrix_doc(m: Matrix) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **m.to_json_dict()}
-
-
 def _cmd_gen(args) -> int:
     from .harness import gen_ginibre, gen_orthogonal_pair
     seed = _resolve_seed(args)
     field = Field.parse(args.field)
     if args.kind == "ginibre":
-        _emit(args.out, _matrix_doc(gen_ginibre(args.n, seed, field)))
+        _emit(args.out, gen_ginibre(args.n, seed, field).to_json_dict())
         if args.out:
             _say(args, f"wrote {args.out}")
         return 0
     a, b = gen_orthogonal_pair(args.n, seed, field)
     if args.out:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
-        _emit(base + ".A.json", _matrix_doc(a))
-        _emit(base + ".B.json", _matrix_doc(b))
+        _emit(base + ".A.json", a.to_json_dict())
+        _emit(base + ".B.json", b.to_json_dict())
         _say(args, f"wrote {base}.A.json and {base}.B.json")
     else:
-        _emit(None, {"schema_version": SCHEMA_VERSION,
-                     "a": a.to_json_dict(), "b": b.to_json_dict()})
+        _emit(None, {"a": a.to_json_dict(), "b": b.to_json_dict()})
     return 0
 
 
@@ -224,52 +205,45 @@ def _build_parser() -> argparse.ArgumentParser:
                     "2 input error, 3 numerical failure.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, tol=False, budget=False):
+    def common(sp, operands=(), *, tol=False, budget=False,
+               out_help="write the JSON result to FILE instead of stdout"):
+        for name in operands:
+            sp.add_argument(name, metavar=f"{name.upper()}.json")
         if tol:
             sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                             help="numerical tolerance (default 1e-7)")
         if budget:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                             help="norm evaluation budget (default 100000)")
-        sp.add_argument("--out", default=None, metavar="FILE",
-                        help="write the JSON result to FILE instead of stdout")
+        sp.add_argument("--out", default=None, metavar="FILE", help=out_help)
         sp.add_argument("--summary", action="store_true",
                         help="print a one-line summary to stderr")
 
     sp = sub.add_parser("norm", help="operator norm of one matrix")
-    sp.add_argument("a", metavar="A.json")
-    common(sp)
+    common(sp, ("a",))
     sp.set_defaults(func=_cmd_norm)
 
     sp = sub.add_parser("distance",
                         help="min over lambda of ||A + lambda*B|| with minimizer")
-    sp.add_argument("a", metavar="A.json")
-    sp.add_argument("b", metavar="B.json")
-    common(sp, tol=True, budget=True)
+    common(sp, ("a", "b"), tol=True, budget=True)
     sp.set_defaults(func=_cmd_distance)
 
     sp = sub.add_parser("check", help="decide orthogonality of the pair")
-    sp.add_argument("a", metavar="A.json")
-    sp.add_argument("b", metavar="B.json")
     sp.add_argument("--method", choices=("def", "witness", "both"),
                     default="both", help="decision route (default both)")
-    common(sp, tol=True)
+    common(sp, ("a", "b"), tol=True)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("witness",
                         help="construct a witness vector (exact, or --eps relaxed)")
-    sp.add_argument("a", metavar="A.json")
-    sp.add_argument("b", metavar="B.json")
     sp.add_argument("--eps", type=float, default=None,
                     help="relaxed threshold: accept ||(A+tB)x|| > ||A|| - eps")
-    common(sp)
+    common(sp, ("a", "b"))
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("minimax",
                         help="evaluate both sides of the minimax identity")
-    sp.add_argument("a", metavar="A.json")
-    sp.add_argument("b", metavar="B.json")
-    common(sp, tol=True)
+    common(sp, ("a", "b"), tol=True)
     sp.set_defaults(func=_cmd_minimax)
 
     sp = sub.add_parser("suite", help="run the randomized evaluation suite")
@@ -289,10 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="scalar field: complex/c or real/r (default complex)")
     sp.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: $BJORTH_SEED, else 0)")
-    sp.add_argument("--out", default=None, metavar="FILE",
-                    help="ginibre: output file; orthopair: prefix for .A.json/.B.json")
-    sp.add_argument("--summary", action="store_true",
-                    help="print a one-line summary to stderr")
+    common(sp, out_help="ginibre: output file; orthopair: prefix for .A.json/.B.json")
     sp.set_defaults(func=_cmd_gen)
     return p
 

@@ -52,6 +52,12 @@ class Field(enum.Enum):
         return np.dtype(np.float64) if self is Field.REAL else np.dtype(np.complex128)
 
 
+def _re_im(z) -> list:
+    """A scalar as the [re, im] pair every JSON document encodes it by."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
 def _coerce(field: Field, data, ndim: int) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim != ndim or arr.size == 0:
@@ -100,7 +106,7 @@ class Matrix:
         if self.field is Field.REAL:
             entries = [float(x) for x in self.data.ravel()]
         else:
-            entries = [[float(z.real), float(z.imag)] for z in self.data.ravel()]
+            entries = [_re_im(z) for z in self.data.ravel()]
         return {"rows": self.rows, "cols": self.cols, "field": self.field.value, "data": entries}
 
     @classmethod
@@ -168,7 +174,7 @@ class Vector:
 
     def to_pairs(self) -> list:
         """Serialize entries as [re, im] pairs regardless of field."""
-        return [[float(np.real(z)), float(np.imag(z))] for z in self.data]
+        return [_re_im(z) for z in self.data]
 
 
 def _check_pair(a, b) -> Field:
@@ -269,7 +275,8 @@ def operator_norm(m: Matrix) -> float:
     Raises InputError when a nonzero matrix has a norm outside about
     1.5e-154 to 1.3e154, where its Gram matrix overflows or underflows.
     """
-    smax = math.sqrt(_sigma_max_sq(m.data))
+    with np.errstate(over="ignore", invalid="ignore"):   # _check_range reports it
+        smax = math.sqrt(_sigma_max_sq(m.data))
     if smax != 0.0 or m.data.any():
         _check_range("matrix norm", smax)
     return smax
@@ -340,7 +347,8 @@ def top_singular_subspace(m: Matrix, rank_tol: float = 1e-8) -> SpectralData:
     """
     if not (0.0 < rank_tol < 1e-2):
         raise InputError(f"rank_tol must lie in (0, 1e-2), got {rank_tol}")
-    smax, basis = _top_band(m.data, rank_tol)
+    with np.errstate(over="ignore", invalid="ignore"):   # _check_range reports it
+        smax, basis = _top_band(m.data, rank_tol)
     if smax != 0.0 or m.data.any():
         _check_range("matrix norm", smax)
     basis = _canonical_phase(basis)

@@ -146,9 +146,10 @@ def find_witness(a: Matrix, b: Matrix):
     Either returns a Witness (orthogonal, certificate vector included) or a
     NOT_ORTHOGONAL Verdict whose certificate is the separating half-plane of
     the compression's numerical range.  Zero counts as inside the range
-    within _NR_REL_TOL * ||a|| * ||b||; the witness's residuals must stay
-    within 1e-8 * ||a|| * ||b|| and are always re-checked from scratch on
-    the assembled witness, which is the source of truth.
+    within _NR_REL_TOL * ||a|| * ||b||.  The witness's norm residual must
+    stay within 2e-8 * ||a|| and its inner-product residual within
+    1e-8 * ||a|| * ||b||; both are re-checked from scratch on the assembled
+    witness, which is the source of truth.
 
     The witness is y lifted to the top subspace, where y is the unit vector
     with <Cy, y> = 0 that zero_in_numerical_range returns for the
@@ -164,7 +165,9 @@ def _witness_route(pair: _Pair):
     """find_witness on a validated pair: the route's Verdict, whose tol is
     the numerical-range threshold in either outcome, and the Witness or None."""
     scale = pair.norm_a * pair.norm_b
-    eps = 1e-8 * scale
+    # ||Ax|| is held by A's band (sigma >= ||A||(1 - 1e-8)) whatever ||B|| is,
+    # so its residual bound is in units of ||A|| alone: twice the band width
+    norm_bound, ip_bound = 2e-8 * pair.norm_a, 1e-8 * scale
     nr_tol = _NR_REL_TOL * scale
     a, b = pair.a, pair.b
 
@@ -176,10 +179,11 @@ def _witness_route(pair: _Pair):
                        method=Method.WITNESS, tol=nr_tol, certificate=cert), None
 
     witness = Witness.from_vector(a, b, basis @ y)
-    if witness.epsilon > eps:
+    if witness.norm_residual > norm_bound or witness.ip_residual > ip_bound:
         raise WitnessSearchError(
-            f"witness construction failed: residual {witness.epsilon:.3e} above {eps:.3e}",
-            best_residual=witness.epsilon)
+            f"witness construction failed: residuals {witness.norm_residual:.3e} (norm) "
+            f"and {witness.ip_residual:.3e} (inner product) above {norm_bound:.3e} "
+            f"and {ip_bound:.3e}", best_residual=witness.epsilon)
     return Verdict(status=Status.ORTHOGONAL, margin=None, method=Method.WITNESS,
                    tol=nr_tol), witness
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._sphere import multistart_minimize
 from .core import (DEFAULT_BUDGET, DEFAULT_TOL, Field, InputError, Matrix, Vector, _Pair,
-                   _top_band)
+                   _re_im, _top_band)
 from .core import top_singular_subspace  # noqa: F401  (bench/spans.py traces it here)
 from .lineopt import global_inf_lambda
 
@@ -76,15 +76,20 @@ def lhs_sup_inf(a: Matrix, b: Matrix, *, restarts: int = 50, seed: int = 0,
     the identity minus the accepted slack); reaching it ends the search
     early.
     """
+    # phi is searched on A/||A|| and B/||B|| (phi does not change when B
+    # is scaled), so its test for Bx = 0 and its products hold at any scale
     pair = _Pair.of(a, b)
-    starts = list(_top_band(a.data, 1e-8)[1].T)
+    scale = pair.norm_a or 1.0
+    aa = a.data / scale
+    starts = list(_top_band(aa, 1e-8)[1].T)
     if lambda_hint is not None:
-        starts += list(_top_band(a.data + lambda_hint * b.data, 1e-4)[1].T)
-    stop = -math.inf if stop_at is None else -(max(stop_at, 0.0) ** 2)
+        starts += list(_top_band((a.data + lambda_hint * b.data) / scale, 1e-4)[1].T)
+    stop = -math.inf if stop_at is None else -(max(stop_at / scale, 0.0) ** 2)
     neg_phi, x, used = multistart_minimize(
-        _neg_phi_fg(a.data, b.data), a.cols, complex_field=pair.field is Field.COMPLEX,
-        restarts=restarts, seed=seed, det_starts=starts, max_iter=400, stop_below=stop)
-    return SupInfResult(value=math.sqrt(max(-neg_phi, 0.0)), x=Vector(a.field, x),
+        _neg_phi_fg(aa, b.data / (pair.norm_b or 1.0)), a.cols,
+        complex_field=pair.field is Field.COMPLEX, restarts=restarts, seed=seed,
+        det_starts=starts, max_iter=400, stop_below=stop)
+    return SupInfResult(value=scale * math.sqrt(max(-neg_phi, 0.0)), x=Vector(a.field, x),
                         restarts=used)
 
 
@@ -118,14 +123,13 @@ class MinimaxReport:
     budget_limited: bool
 
     def to_json_dict(self) -> dict:
-        lam = complex(self.argmin_lambda)
         return {
             "field": self.field.value,
             "lhs": self.lhs_value,
             "rhs": self.rhs_value,
             "gap": self.gap,
             "rel_gap": self.rel_gap,
-            "argmin_lambda": [lam.real, lam.imag],
+            "argmin_lambda": _re_im(self.argmin_lambda),
             "argmax_x": self.argmax_x.to_pairs(),
             "evaluations": self.evaluations,
             "restarts_used": self.restarts_used,

@@ -1,6 +1,7 @@
 """Command line behavior: JSON documents on stdout, exit codes, file IO."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ def test_suite_seed_flag_beats_config(tmp_path, capsys):
     assert json.loads(out.read_text())["config"]["seed"] == 9
 
 
+def test_suite_report_config_reproduces_the_report(tmp_path, capsys, monkeypatch):
+    # the accepted keys are read off SuiteConfig and Tolerances, so a report's
+    # config block, every key included, must be accepted back as a config
+    monkeypatch.delenv("BJORTH_SEED", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dims": [2, 3], "trials_per_dim": 1, "seed": 5,
+                               "field": "real",
+                               "tolerances": {"decision_tol": 1e-6, "gap_tol": 1e-3,
+                                              "witness_eps": 1e-5}}))
+    _, first, _ = run(capsys, ["suite", "--config", str(cfg)])
+    cfg.write_text(json.dumps(first["config"]))
+    _, second, _ = run(capsys, ["suite", "--config", str(cfg)])
+    del first["runtimes"], second["runtimes"]
+    assert second == first
+
+
 def test_gen_ginibre_stdout_round_trip(capsys):
     code, doc, _ = run(capsys, ["gen", "--kind", "ginibre", "--n", "3",
                                 "--seed", "5"])
@@ -259,12 +276,17 @@ def test_malformed_matrix_is_input_error(tmp_path, capsys):
 
 def test_norm_outside_the_gram_range_is_input_error(tmp_path, capsys):
     # D8: entries of 1e200 overflow the Gram matrix; `norm` printed
-    # "op_norm": NaN and `check` died with an IndexError (exit 1)
+    # "op_norm": NaN and `check` died with an IndexError (exit 1).  The
+    # error line is all the output: numpy's overflow and invalid-value
+    # RuntimeWarnings from the Gram product came before it
     a = write_mat(tmp_path, "a.json", 1e200 * np.eye(2))
-    for argv in (["norm", a], ["check", a, a]):
-        code, doc, err = run(capsys, argv)
-        assert (code, doc) == (2, None), argv
-        assert err.startswith("error:") and "supported range" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["norm", a], ["check", a, a]):
+            code, doc, err = run(capsys, argv)
+            assert (code, doc) == (2, None), argv
+            assert err.startswith("error:") and "supported range" in err
+            assert err.count("\n") == 1, argv
 
 
 def test_nan_tol_is_input_error(tmp_path, capsys):

@@ -383,6 +383,22 @@ def test_find_witness_accepts_non_square():
     assert abs(w.x.data[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fld", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_witness_route_does_not_depend_on_the_scale_of_b(fld):
+    # D9: A's band holds ||Ax|| within 1e-8 * ||A|| whatever ||B|| is, so the
+    # witness's norm residual of 2.5e-9 must pass at every t; it failed for
+    # t <= 0.2 while its bound was 1e-8 * ||A|| * ||B||
+    a = Matrix(fld, np.diag([1.0, 1.0 - 5e-9]))
+    for t in np.logspace(-6, 6, 13):
+        b = Matrix(fld, t * np.diag([1.0, -1.0]))
+        w = find_witness(a, b)
+        assert isinstance(w, Witness), t
+        assert w.norm_residual == pytest.approx(2.5e-9, rel=1e-3), t
+        rep = decide(a, b)
+        assert rep.witness_error is None, t
+        assert rep.verdict.status is Status.ORTHOGONAL, t
+
+
 def test_witness_validation():
     with pytest.raises(InputError):
         Witness(x=Vector(Field.REAL, np.array([2.0, 0.0])),

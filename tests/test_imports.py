@@ -129,6 +129,16 @@ def test_check_command_skips_harness_and_minimax(pair_files):
     assert not loaded & {"bjorth.harness", "bjorth.minimax"}
 
 
+@pytest.mark.parametrize("command", ["check", "norm"])
+def test_out_file_loads_no_harness(pair_files, tmp_path, command):
+    # the CLI writes --out files itself, so --out costs no harness import
+    operands = pair_files if command == "check" else pair_files[:1]
+    loaded = package_modules(imported_by(["-m", "bjorth", command, *operands,
+                                          "--out", str(tmp_path / "out.json")]))
+    assert "bjorth.cli" in loaded
+    assert not loaded & {"bjorth.harness", "bjorth.minimax"}
+
+
 def test_gen_command_skips_the_solvers():
     loaded = package_modules(imported_by(["-m", "bjorth", "gen", "--kind", "ginibre",
                                           "--n", "3"]))

@@ -11,6 +11,7 @@ from bjorth import (
     Vector,
     gen_ginibre,
     gen_orthogonal_pair,
+    global_inf_lambda,
     inner_inf,
     lhs_sup_inf,
     minimax_report,
@@ -159,6 +160,17 @@ def test_lhs_stop_at_short_circuits():
                       stop_at=rhs.value - 1e-8)
     assert res.value >= rhs.value - 1e-6
     assert res.restarts <= 3
+
+
+@pytest.mark.parametrize("sa, sb", [(1.0, 1e-150), (1e-150, 1e-150), (1e150, 1e150)])
+def test_lhs_at_extreme_scales(sa, sb):
+    # phi does not change when B is scaled, so the search runs on A/||A|| and
+    # B/||B||: on the raw pair ||Bx||^2 <= 1e-300 read as Bx = 0 (value 2.0
+    # at ||B|| = 1e-150) and |<Ax, Bx>|^2 overflowed at 1e150
+    a, b = rmat(sa * np.diag([2.0, 1.0])), rmat(sb * np.eye(2))
+    value = lhs_sup_inf(a, b).value
+    assert value == pytest.approx(0.5 * sa, rel=1e-6)
+    assert value <= global_inf_lambda(a, b).value
 
 
 @pytest.mark.parametrize("fld", [Field.REAL, Field.COMPLEX])
